@@ -29,8 +29,8 @@ for mode in ("lambda", "vanilla_causal"):
               f"   {1e3 * r.decode_seconds_per_token:10.3f}"
               f"   {r.peak_cache_entries:5d}")
 
-print("\nVanilla encode time grows ~16x for 4x the length and its decode")
-print("slows as the cache grows; lambda stays near-linear and flat.")
+print("\nVanilla encode scores 16x the attention cells for 4x the length and")
+print("its decode slows as the cache grows; lambda stays near-linear and flat.")
 
 # --- operation counts: truncation fallback vs bounded cache ----------------
 lang = SyntheticLanguage(vocab_size=64, seed=99)

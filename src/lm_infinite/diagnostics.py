@@ -62,14 +62,16 @@ class EntropyCurve:
 def entropy_curve(model: ToyModel, tokens, mode: str | None = None) -> EntropyCurve:
     """One traced forward; causality makes row i the last-token row of the
     length-(i+1) prefix, so a single pass yields the whole curve."""
-    tokens = np.asarray(tokens)
-    if tokens.size < 2:
-        raise ValueError("entropy_curve needs at least 2 tokens")
+    tokens = _check_tokens(tokens, 2, "entropy_curve")
     _, trace = forward_traced(
         model, tokens, mode=mode, capture=CaptureSpec(entropy=True)
     )
+    return _entropy_from_trace(trace)
+
+
+def _entropy_from_trace(trace) -> EntropyCurve:
     ent = np.stack([att.row_entropy for att in trace.attention])
-    return EntropyCurve(lengths=np.arange(1, tokens.size + 1), entropy=ent)
+    return EntropyCurve(lengths=np.arange(1, ent.shape[-1] + 1), entropy=ent)
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +107,36 @@ def logit_profile(
     bucket_width: int = 64,
 ) -> LogitProfile:
     """Last-row attention logits bucketed by key distance."""
-    cfg = model.config
-    if not 0 <= layer < cfg.n_layers:
-        raise ValueError(f"layer {layer} out of range [0, {cfg.n_layers})")
-    if not 0 <= head < cfg.n_heads:
-        raise ValueError(f"head {head} out of range [0, {cfg.n_heads})")
+    _check_layer_head(model.config, layer, head)
     if bucket_width < 1:
         raise ValueError("bucket_width must be >= 1")
-    tokens = np.asarray(tokens)
-    if tokens.size < 2:
-        raise ValueError("logit_profile needs at least 2 tokens")
-    mode = mode or cfg.mode
+    tokens = _check_tokens(tokens, 2, "logit_profile")
+    mode = mode or model.config.mode
     _, trace = forward_traced(
         model, tokens, mode=mode, capture=CaptureSpec(last_row_logits=True)
     )
+    return _profile_from_trace(trace, model.config, mode, layer, head, bucket_width)
+
+
+def _check_tokens(tokens, minimum, what):
+    tokens = np.asarray(tokens)
+    if tokens.size < minimum:
+        raise ValueError(f"{what} needs at least {minimum} tokens")
+    return tokens
+
+
+def _check_layer(cfg, layer):
+    if not 0 <= layer < cfg.n_layers:
+        raise ValueError(f"layer {layer} out of range [0, {cfg.n_layers})")
+
+
+def _check_layer_head(cfg, layer, head):
+    _check_layer(cfg, layer)
+    if not 0 <= head < cfg.n_heads:
+        raise ValueError(f"head {head} out of range [0, {cfg.n_heads})")
+
+
+def _profile_from_trace(trace, cfg, mode, layer, head, bucket_width=64) -> LogitProfile:
     att = trace.attention[layer]
     logits = np.asarray(att.last_logits[head], dtype=np.float64)
     dist = np.asarray(att.last_distances)
@@ -190,12 +208,8 @@ def position_projection(
     model: ToyModel, tokens, layer: int, mode: str | None = None
 ) -> PcaProjection:
     """Top-2 PCA of the residual stream after ``layer``, one dot per token."""
-    cfg = model.config
-    if not 0 <= layer < cfg.n_layers:
-        raise ValueError(f"layer {layer} out of range [0, {cfg.n_layers})")
-    tokens = np.asarray(tokens)
-    if tokens.size < 3:
-        raise ValueError("position_projection needs at least 3 tokens")
+    _check_layer(model.config, layer)
+    tokens = _check_tokens(tokens, 3, "position_projection")
     _, trace = forward_traced(model, tokens, mode=mode, hidden=True)
     return project_states(trace.hidden[layer])
 
@@ -280,16 +294,27 @@ def run_diagnostics(
     mode: str | None = None,
     pca_layer: int | None = None,
 ) -> DiagnosticsReport:
-    profile = logit_profile(model, tokens, layer, head, mode=mode)
-    curve = entropy_curve(model, tokens, mode=mode)
-    proj = position_projection(
-        model, tokens, layer if pca_layer is None else pca_layer, mode=mode
+    """logit_profile, entropy_curve and position_projection from one traced
+    forward pass; equal to the three separate calls."""
+    cfg = model.config
+    pca_layer = layer if pca_layer is None else pca_layer
+    _check_layer_head(cfg, layer, head)
+    _check_layer(cfg, pca_layer)
+    tokens = _check_tokens(tokens, 3, "run_diagnostics")
+    mode = mode or cfg.mode
+    _, trace = forward_traced(
+        model,
+        tokens,
+        mode=mode,
+        capture=CaptureSpec(entropy=True, last_row_logits=True),
+        hidden=True,
     )
+    profile = _profile_from_trace(trace, cfg, mode, layer, head)
     return DiagnosticsReport(
         logit_stats=profile,
-        entropy_curve=curve,
+        entropy_curve=_entropy_from_trace(trace),
         logit_bound=profile.bound,
-        pca_projection=proj,
+        pca_projection=project_states(trace.hidden[pca_layer]),
     )
 
 

@@ -1,202 +1,87 @@
-"""Bounded streaming key/value store implementing the lambda eviction policy.
+"""Array-backed streaming key/value store for one decode stream.
 
-The cache pins the first ``n_global`` entries forever and keeps the most
-recent ``n_local`` entries in a ring buffer, so memory never exceeds
-n_global + n_local entries no matter how long the stream runs. Keys are
-stored unrotated (RoPE) or raw (Alibi); rotation to the clamped distance
-happens at attention time, because the right angle shifts every step.
+Keys, values and absolute positions live in preallocated arrays of shape
+(capacity, *entry_shape). With MaskParams (lambda mode) position p goes to
+slot p if p < n_global, otherwise to slot n_global + (p - n_global) %
+n_local, overwriting the entry n_local steps older: the pinned prefix stays
+forever and memory never exceeds n_global + n_local entries however long
+the stream runs. With params None (vanilla mode) position p goes to slot p,
+nothing is evicted and the arrays double when full.
+
+Occupied slots are always [0, len(cache)), pinned entries first, so
+``keys``, ``values`` and ``positions`` are plain array views; the window
+part is in ring order, not ascending. attend_single pushes a token before
+it attends, so after a push at position p the stored entries are exactly
+the mask row of p.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from lm_infinite.errors import CacheStateError
 from lm_infinite.masking import MaskParams
 
-_MAGIC = b"LMKV"
-_VERSION = 1
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    position: int
-    k: np.ndarray
-    v: np.ndarray
-    effective_distance: int
+_MIN_CAPACITY = 16  # first allocation of a growing (vanilla) cache
 
 
 class KvCache:
-    """Pinned prefix + ring window over a single decode stream."""
+    """Pinned prefix + ring window (lambda), or a growing array (vanilla)."""
 
-    def __init__(self, params: MaskParams):
+    def __init__(self, params: MaskParams | None):
         self.params = params
         self.next_position = 0
-        self._entry_shape = None
-        self._pinned_k = []
-        self._pinned_v = []
-        # Ring storage; slot i holds the entry for some absolute position,
-        # tracked explicitly so positions never need renumbering.
-        self._win_k = [None] * params.n_local
-        self._win_v = [None] * params.n_local
-        self._win_pos = [-1] * params.n_local
-        self._win_count = 0
-        self._win_head = 0  # oldest occupied slot
+        self._k = self._v = np.empty(0)
+        self._pos = np.empty(0, dtype=np.int64)
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._pinned_k) + self._win_count
+        return self._len
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._k[: self._len]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._v[: self._len]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._pos[: self._len]
 
     def push(self, k, v) -> None:
-        """Store (k, v) at position next_position and advance the stream.
-
-        Positions below n_global are pinned permanently; later positions
-        enter the ring, evicting the oldest window entry once full.
-        """
+        """Store (k, v) at position next_position and advance the stream."""
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         if k.shape != v.shape:
             raise ValueError(f"k/v shape mismatch: {k.shape} vs {v.shape}")
-        if self._entry_shape is None:
-            self._entry_shape = k.shape
-        elif k.shape != self._entry_shape:
+        if self._len and k.shape != self._k.shape[1:]:
             raise ValueError(
-                f"entry shape {k.shape} does not match cache entries {self._entry_shape}"
+                f"entry shape {k.shape} does not match cache entries {self._k.shape[1:]}"
             )
         pos = self.next_position
-        if pos < self.params.n_global:
-            self._pinned_k.append(k)
-            self._pinned_v.append(v)
+        params = self.params
+        if params is None or pos < params.n_global:
+            slot = pos
         else:
-            n_local = self.params.n_local
-            if self._win_count < n_local:
-                slot = (self._win_head + self._win_count) % n_local
-                self._win_count += 1
-            else:
-                slot = self._win_head  # overwrite the oldest
-                self._win_head = (self._win_head + 1) % n_local
-            self._win_k[slot] = k
-            self._win_v[slot] = v
-            self._win_pos[slot] = pos
+            slot = params.n_global + (pos - params.n_global) % params.n_local
+        if slot >= len(self._pos):
+            self._reserve(k.shape)
+        self._k[slot] = k
+        self._v[slot] = v
+        self._pos[slot] = pos
+        self._len = max(self._len, slot + 1)
         self.next_position = pos + 1
 
-    def stored_positions(self) -> list:
-        """All stored absolute positions, ascending."""
-        pinned = list(range(len(self._pinned_k)))
-        window = sorted(
-            self._win_pos[(self._win_head + i) % self.params.n_local]
-            for i in range(self._win_count)
-        )
-        return pinned + window
-
-    def visible_entries(self, query_position: int) -> list:
-        """Stored entries visible to the next query, ascending by position.
-
-        Effective distances come clamped at l_pretrain. The window keeps
-        n_local past entries, one more than the local mask branch admits
-        for this query; attention filters to the exact mask row, while this
-        accessor reports everything held (the superset the ring preserves).
-        """
-        if query_position != self.next_position:
-            raise CacheStateError(
-                f"query_position {query_position} does not match "
-                f"next_position {self.next_position} (decode-time contract)"
-            )
-        l_pretrain = self.params.l_pretrain
-        out = []
-        for pos, k, v in zip(range(len(self._pinned_k)), self._pinned_k, self._pinned_v):
-            out.append(CacheEntry(pos, k, v, min(query_position - pos, l_pretrain)))
-        window = sorted(
-            (
-                self._win_pos[(self._win_head + i) % self.params.n_local],
-                (self._win_head + i) % self.params.n_local,
-            )
-            for i in range(self._win_count)
-        )
-        for pos, slot in window:
-            out.append(
-                CacheEntry(
-                    pos,
-                    self._win_k[slot],
-                    self._win_v[slot],
-                    min(query_position - pos, l_pretrain),
-                )
-            )
-        return out
-
-
-def save_cache(cache: KvCache, path) -> None:
-    """Write a snapshot: magic, u32 version, u32 n_global, u32 n_local,
-    u64 next_position, then per entry (ascending position) the k array
-    followed by the v array, little-endian f32."""
-    entries = []
-    for pos, k, v in zip(
-        range(len(cache._pinned_k)), cache._pinned_k, cache._pinned_v
-    ):
-        entries.append((pos, k, v))
-    for i in range(cache._win_count):
-        slot = (cache._win_head + i) % cache.params.n_local
-        entries.append((cache._win_pos[slot], cache._win_k[slot], cache._win_v[slot]))
-    entries.sort(key=lambda e: e[0])
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIQ",
-                _VERSION,
-                cache.params.n_global,
-                cache.params.n_local,
-                cache.next_position,
-            )
-        )
-        for _, k, v in entries:
-            fh.write(np.ascontiguousarray(k, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(v, dtype="<f4").tobytes())
-
-
-def load_cache(path, l_pretrain: int) -> KvCache:
-    """Rebuild a cache from a snapshot.
-
-    The layout stores neither l_pretrain nor entry shape: the former is
-    supplied by the caller, the latter is inferred from the payload size
-    (entries load as flat vectors; attention reshapes per its config).
-    Stored positions are implied by the eviction policy, so only the
-    counters are needed to reattach them.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    version, n_global, n_local, next_position = struct.unpack_from("<IIIQ", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {version}")
-    params = MaskParams(n_global=n_global, n_local=n_local, l_pretrain=l_pretrain)
-    n_pinned = min(n_global, next_position)
-    n_window = min(n_local, max(0, next_position - n_global))
-    n_entries = n_pinned + n_window
-    payload = blob[4 + struct.calcsize("<IIIQ") :]
-    if n_entries == 0:
-        if payload:
-            raise ValueError(f"{path}: trailing bytes after empty snapshot")
-        dim = 0
-    else:
-        if len(payload) % (8 * n_entries) != 0:
-            raise ValueError(
-                f"{path}: payload of {len(payload)} bytes does not divide into "
-                f"{n_entries} f32 (k, v) entry pairs"
-            )
-        dim = len(payload) // (8 * n_entries)
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    cache = KvCache(params)
-    positions = list(range(n_pinned)) + list(
-        range(next_position - n_window, next_position)
-    )
-    for idx, pos in enumerate(positions):
-        k = flat[(2 * idx) * dim : (2 * idx + 1) * dim]
-        v = flat[(2 * idx + 1) * dim : (2 * idx + 2) * dim]
-        cache.next_position = pos  # reattach at the original absolute position
-        cache.push(k, v)
-    cache.next_position = next_position
-    return cache
+    def _reserve(self, entry_shape) -> None:
+        if self.params is None:
+            capacity = max(_MIN_CAPACITY, 2 * len(self._pos))
+        else:
+            capacity = self.params.n_global + self.params.n_local
+        n = self._len
+        k = np.empty((capacity,) + entry_shape)
+        v = np.empty((capacity,) + entry_shape)
+        pos = np.empty(capacity, dtype=np.int64)
+        if n:
+            k[:n], v[:n], pos[:n] = self.keys, self.values, self.positions
+        self._k, self._v, self._pos = k, v, pos

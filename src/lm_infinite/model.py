@@ -12,6 +12,7 @@ path is used for throughput and the resulting model is mode-agnostic.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.special import erf
 
 from lm_infinite.attention import (
+    MODES,
     AttentionConfig,
     CaptureSpec,
     attend,
@@ -26,13 +28,7 @@ from lm_infinite.attention import (
     attend_single,
     attend_with_stash,
 )
-from lm_infinite.encoding import (
-    AlibiParams,
-    RopeParams,
-    apply_rotation_f64,
-    default_alibi_slopes,
-    rope_cos_sin,
-)
+from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
     CacheStateError,
     NanDetectedError,
@@ -78,6 +74,8 @@ class ToyModelConfig:
             raise ValueError("train_len must be >= 8")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # Delegate mask validation early so bad configs fail at construction.
         self.mask_params  # noqa: B018
 
@@ -498,11 +496,11 @@ def train(
 class DecodeSession:
     """Streaming per-token decoding state for one sequence.
 
-    In lambda mode each layer owns a bounded KvCache (push-after-attend, so
-    the query never sees a stale copy of itself). In vanilla mode the
-    per-layer keys/values simply grow without bound — the quadratic
-    baseline. Either way step() advances one token and returns the logits
-    for the next position.
+    Each layer owns a KvCache that follows the session's mode: bounded to
+    the pinned prefix plus the window in lambda mode, growing without
+    bound in vanilla mode (the quadratic baseline). step() pushes the
+    token into every layer's cache, attends over the stored entries and
+    returns the logits for the next position.
     """
 
     def __init__(self, model: ToyModel, mode: str | None = None):
@@ -510,43 +508,11 @@ class DecodeSession:
         self.mode = mode or model.config.mode
         self.att_config = model.config.attention_for(self.mode)
         self.position = 0
-        cfg = model.config
-        if self.mode == "lambda":
-            self.layer_caches = [
-                KvCache(cfg.mask_params) for _ in range(cfg.n_layers)
-            ]
-        else:
-            self._keys = [[] for _ in range(cfg.n_layers)]
-            self._values = [[] for _ in range(cfg.n_layers)]
-            if cfg.encoding != "rope":
-                self._slopes = np.asarray(default_alibi_slopes(cfg.n_heads))
+        params = model.config.mask_params if self.mode == "lambda" else None
+        self.layer_caches = [KvCache(params) for _ in range(model.config.n_layers)]
 
     def peak_cache_entries(self) -> int:
-        if self.mode == "lambda":
-            return max(len(c) for c in self.layer_caches)
-        return max(len(k) for k in self._keys)
-
-    def _vanilla_attend(self, layer, q, k, v):
-        cfg = self.model.config
-        pos = self.position
-        scale = 1.0 / np.sqrt(cfg.head_dim)
-        if cfg.encoding == "rope":
-            enc = self.att_config.encoding
-            cos, sin = rope_cos_sin(pos, enc)
-            q = apply_rotation_f64(q, cos, sin)
-            k = apply_rotation_f64(k, cos, sin)  # vanilla: keys keep absolute angles
-        self._keys[layer].append(k)
-        self._values[layer].append(v)
-        ks = np.stack(self._keys[layer])  # (t+1, n_heads, head_dim)
-        vs = np.stack(self._values[layer])
-        logits = np.einsum("hd,jhd->hj", q, ks) * scale
-        if cfg.encoding != "rope":
-            dist = pos - np.arange(ks.shape[0])
-            logits = logits - self._slopes[:, None] * dist
-        z = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        w = e / e.sum(axis=-1, keepdims=True)
-        return np.einsum("hj,jhd->hd", w, vs).reshape(-1)
+        return max(len(c) for c in self.layer_caches)
 
     def step(self, token: int) -> np.ndarray:
         """Consume one token, return next-position logits (vocab,)."""
@@ -562,15 +528,9 @@ class DecodeSession:
             q = (h @ p[f"{pre}/attn/wq"]).reshape(cfg.n_heads, cfg.head_dim)
             k = (h @ p[f"{pre}/attn/wk"]).reshape(cfg.n_heads, cfg.head_dim)
             v = (h @ p[f"{pre}/attn/wv"]).reshape(cfg.n_heads, cfg.head_dim)
-            if self.mode == "lambda":
-                out = attend_single(
-                    q, k, v, self.layer_caches[i], self.att_config,
-                    position=self.position,
-                )
-                self.layer_caches[i].push(k, v)
-                a = out.values
-            else:
-                a = self._vanilla_attend(i, q, k, v)
+            a = attend_single(
+                q, k, v, self.layer_caches[i], self.att_config, position=self.position
+            ).values
             x = x + a @ p[f"{pre}/attn/wo"]
             if np.isnan(x).any():
                 raise NanDetectedError(
@@ -671,46 +631,72 @@ def save_model(model: ToyModel, path) -> None:
 
 
 def load_model(path) -> ToyModel:
+    """Read an LMTM checkpoint; any malformed byte raises a ValueError that
+    names the path and the byte offset."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    version, cfg_len = struct.unpack_from("<II", blob, 4)
+    off = 4
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(
+                f"{path}: truncated at byte {len(blob)}: {what} needs bytes "
+                f"[{off}, {off + n})"
+            )
+        off += n
+        return blob[off - n : off]
+
+    def u32(what):
+        return struct.unpack("<I", take(4, what))[0]
+
+    def text(n, what):
+        at = off
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {what} at byte {at} is not UTF-8") from None
+
+    version = u32("version")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
-    fields = {}
-    for line in blob[off : off + cfg_len].decode("utf-8").splitlines():
-        key, _, value = line.partition("=")
-        fields[key] = value
-    off += cfg_len
     kwargs = {}
-    for key, value in fields.items():
-        if key in ("encoding", "mode"):
-            kwargs[key] = value
-        elif key == "rope_base":
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = int(value)
-    config = ToyModelConfig(**kwargs)
+    for line in text(u32("config length"), "config block").splitlines():
+        key, _, value = line.partition("=")
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            if key in ("encoding", "mode"):
+                kwargs[key] = value
+            elif key == "rope_base":
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{path}: bad config value {key}={value!r}") from None
+    try:
+        config = ToyModelConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
     params = {}
     expected = _param_shapes(config)
     while off < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-        off += 4 * count
-        params[name] = arr.astype(np.float64).reshape(shape)
+        at = off
+        name = text(u32("tensor name length"), "tensor name")
+        if name not in expected or name in params:
+            raise ValueError(f"{path}: unexpected tensor {name!r} at byte {at}")
+        ndim = u32(f"tensor {name} rank")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name} shape"))
+        data = take(4 * math.prod(shape), f"tensor {name} data")
+        params[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
     missing = set(expected) - set(params)
     if missing:
-        raise ValueError(f"{path}: checkpoint missing tensors {sorted(missing)[:3]}...")
+        raise ValueError(
+            f"{path}: checkpoint ends at byte {off}, missing tensors "
+            f"{sorted(missing)[:3]}..."
+        )
     for name, shape in expected.items():
         if params[name].shape != shape:
             raise ValueError(

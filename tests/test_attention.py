@@ -255,8 +255,9 @@ def test_batched_matches_per_sequence():
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 def test_streaming_step_equals_full_row(kind):
-    # push/attend_single over 4*n_local steps reproduces each attend() row,
-    # including the first-eviction boundary at n_global + n_local.
+    # attend_single (which pushes the token, then attends) over 4*n_local
+    # steps reproduces each attend() row, including the first-eviction
+    # boundary at n_global + n_local.
     config = make_config("lambda", kind, n_global=2, n_local=5, l_pretrain=8)
     seq_len = 4 * config.mask_params.n_local
     rng = np.random.default_rng(11)
@@ -269,7 +270,6 @@ def test_streaming_step_equals_full_row(kind):
         assert np.allclose(step.values, full.values[i], atol=1e-10), i
         assert step.positions.tolist() == full.key_indices[i].tolist()
         assert np.allclose(step.weights, full.weights[i], atol=1e-10)
-        cache.push(k[i], v[i])
 
 
 def test_attend_single_first_step_self_only():
@@ -290,9 +290,32 @@ def test_attend_single_contract_errors():
     q, k, v = (rng.normal(size=(HEADS, HEAD_DIM)) for _ in range(3))
     with pytest.raises(CacheStateError):
         attend_single(q, k, v, cache, config, position=3)
+    # A bounded cache cannot serve vanilla attention, nor a growing one lambda.
     vanilla = make_config("vanilla_causal", "rope")
     with pytest.raises(ValueError):
         attend_single(q, k, v, cache, vanilla, position=0)
+    with pytest.raises(ValueError):
+        attend_single(q, k, v, KvCache(None), config, position=0)
+    assert cache.next_position == 0 and len(cache) == 0
+
+
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+def test_vanilla_streaming_step_equals_full_row(kind):
+    # A growing cache over a vanilla config reproduces every dense causal
+    # row at raw distances, across several doublings of the cache arrays.
+    config = make_config("vanilla_causal", kind)
+    seq_len = 40
+    rng = np.random.default_rng(15)
+    q, k, v = random_qkv(rng, seq_len)
+    full = attend(q, k, v, config, CaptureSpec(weights=True))
+    cache = KvCache(None)
+    for i in range(seq_len):
+        step = attend_single(q[i], k[i], v[i], cache, config, position=i)
+        assert np.allclose(step.values, full.values[i], atol=1e-10), i
+        assert step.positions.tolist() == list(range(i + 1))
+        assert step.distances.tolist() == list(range(i, -1, -1))
+        assert np.allclose(step.weights, full.weights[i], atol=1e-10)
+    assert len(cache) == seq_len
 
 
 def test_entropy_and_last_logit_capture():
@@ -313,3 +336,130 @@ def test_entropy_and_last_logit_capture():
         q, k, v, make_config("vanilla_causal", "rope"), CaptureSpec(last_row_logits=True)
     )
     assert vanilla.last_distances.tolist() == list(range(seq_len - 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Blocked kernel: several query blocks per sequence
+# ---------------------------------------------------------------------------
+
+BLOCK_CASES = [
+    # (n_global, n_local, l_pretrain): the clamp binds on pinned keys in all
+    # but the last; n_global = 0 and pinned prefixes wider than a block too.
+    (2, 5, 8),
+    (0, 3, 4),
+    (6, 3, 4),
+    (1, 7, 7),
+    (3, 2, 64),
+]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 4)
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+@pytest.mark.parametrize("branches", BLOCK_CASES)
+def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
+    rng = np.random.default_rng(hash((mode, kind, branches)) % 2**32)
+    config = make_config(mode, kind, *branches)
+    seq_len = 19  # four full blocks of 4 plus a partial one
+    q, k, v = random_qkv(rng, seq_len)
+    got = attend(
+        q, k, v, config, CaptureSpec(weights=True, entropy=True, last_row_logits=True)
+    )
+    want, w = oracle_attend(q, k, v, config)
+    assert np.allclose(got.values, want, atol=1e-5)
+    for i in range(seq_len):
+        cols = np.flatnonzero(w[0, i] > 0)
+        assert got.key_indices[i].tolist() == cols.tolist()
+        assert np.allclose(got.weights[i], w[:, i, cols], atol=1e-6)
+        ent = -(w[:, i, cols] * np.log(w[:, i, cols])).sum(axis=-1)
+        assert np.allclose(got.row_entropy[:, i], ent, atol=1e-6)
+    assert got.last_indices.tolist() == got.key_indices[-1].tolist()
+    d = seq_len - 1 - got.last_indices
+    if mode == "lambda":
+        d = np.minimum(d, config.mask_params.l_pretrain)
+    assert got.last_distances.tolist() == d.tolist()
+
+
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+@pytest.mark.parametrize("branches", BLOCK_CASES)
+def test_blocks_equal_one_block(monkeypatch, kind, branches):
+    # The block size is a schedule, not a semantic: every choice agrees.
+    import lm_infinite.attention as attention
+
+    rng = np.random.default_rng(16)
+    q, k, v = random_qkv(rng, 23)
+    d_out = rng.normal(size=q.shape)
+    config = make_config("lambda", kind, *branches)
+    results = []
+    for block in (1, 3, 8, 64):
+        monkeypatch.setattr(attention, "BLOCK", block)
+        out, stash = attend_with_stash(q, k, v, config)
+        results.append((out, *attend_backward(stash, d_out)))
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            assert np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+def test_blocks_backward_matches_finite_differences(monkeypatch, mode, kind):
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 3)
+    rng = np.random.default_rng(17)
+    # Rows 5.. see pinned keys past the clamp; blocks split both branches.
+    config = make_config(mode, kind, n_global=2, n_local=3, l_pretrain=4)
+    seq_len = 11
+    q, k, v = random_qkv(rng, seq_len)
+    ct = rng.normal(size=(seq_len, HEADS, HEAD_DIM))
+
+    out, stash = attend_with_stash(q, k, v, config)
+    dq, dk, dv = attend_backward(stash, ct)
+
+    def loss():
+        vals, _ = attend_with_stash(q, k, v, config)
+        return float(np.sum(vals * ct))
+
+    for analytic, x in ((dq, q), (dk, k), (dv, v)):
+        numeric = fd_gradient(loss, x)
+        assert np.allclose(analytic, numeric, atol=1e-6, rtol=1e-5)
+
+
+def test_blocks_batched_matches_per_sequence(small_blocks):
+    rng = np.random.default_rng(18)
+    shape = (3, 14, HEADS, HEAD_DIM)
+    q, k, v = rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
+    d_out = rng.normal(size=shape)
+    for kind in ("rope", "alibi"):
+        for mode in ("lambda", "vanilla_causal"):
+            config = make_config(mode, kind, n_global=2, n_local=3, l_pretrain=5)
+            out, stash = attend_with_stash(q, k, v, config)
+            grads = attend_backward(stash, d_out)
+            for b in range(shape[0]):
+                ob, sb = attend_with_stash(q[b], k[b], v[b], config)
+                assert np.allclose(out[b], ob, atol=1e-12)
+                for g, gb in zip(grads, attend_backward(sb, d_out[b])):
+                    assert np.allclose(g[b], gb, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
+    # Decode rows past the clamp score far pinned keys at the clamp, exactly
+    # as the blocked kernel does.
+    config = make_config("lambda", kind, n_global=3, n_local=3, l_pretrain=4)
+    rng = np.random.default_rng(19)
+    q, k, v = random_qkv(rng, 17)
+    full = attend(q, k, v, config, CaptureSpec(weights=True))
+    cache = KvCache(config.mask_params)
+    for i in range(17):
+        step = attend_single(q[i], k[i], v[i], cache, config, position=i)
+        assert np.allclose(step.values, full.values[i], atol=1e-12)
+        assert np.allclose(step.weights, full.weights[i], atol=1e-12)
+        assert step.positions.tolist() == full.key_indices[i].tolist()
+        assert step.distances.max() <= 4

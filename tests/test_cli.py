@@ -104,6 +104,16 @@ def test_missing_model_file_exit_one_names_path(capsys):
     assert "/no/such/model.lmtm" in err
 
 
+def test_truncated_model_exit_one_names_path_and_byte(trained_dir, tmp_path, capsys):
+    blob = (trained_dir / "model.lmtm").read_bytes()
+    cut = tmp_path / "cut.lmtm"
+    cut.write_bytes(blob[: len(blob) // 2 + 1])
+    rc = cli.main(["generate", "--model", str(cut), "--prompt", "1 2 3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(cut) in err and f"byte {len(blob) // 2 + 1}" in err
+
+
 def test_missing_corpus_file_exit_one_names_path(trained_dir, capsys):
     rc = cli.main(["eval", "--model", str(trained_dir / "model.lmtm"),
                    "--corpus", "/no/such/corpus.txt"])

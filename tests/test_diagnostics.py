@@ -263,3 +263,35 @@ def test_run_diagnostics_and_csv_round_trip(tmp_path):
     assert rows[0] == ["position", "pc1", "pc2"]
     assert len(rows) - 1 == 48
     assert float(rows[1][1]) == report.pca_projection.coords[0, 0]
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_run_diagnostics_equals_separate_calls(monkeypatch, mode):
+    # One traced pass gives exactly what the three separate passes give.
+    import lm_infinite.diagnostics as diagnostics
+
+    model = small_model()
+    tokens = (np.arange(40) * 5 + 1) % 23
+    calls = []
+    real = diagnostics.forward_traced
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "forward_traced", counting)
+    report = run_diagnostics(model, tokens, layer=1, head=1, mode=mode, pca_layer=0)
+    assert len(calls) == 1
+
+    profile = logit_profile(model, tokens, 1, 1, mode=mode)
+    curve = entropy_curve(model, tokens, mode=mode)
+    proj = position_projection(model, tokens, 0, mode=mode)
+    assert repr(report.logit_stats) == repr(profile)
+    assert report.logit_bound == profile.bound
+    assert np.array_equal(report.entropy_curve.lengths, curve.lengths)
+    assert np.array_equal(report.entropy_curve.entropy, curve.entropy)
+    for field in ("positions", "coords", "explained_variance", "components"):
+        assert np.array_equal(
+            getattr(report.pca_projection, field), getattr(proj, field)
+        ), field
+    assert report.pca_projection.degenerate == proj.degenerate

@@ -1,10 +1,13 @@
-"""Cache policy against a reference simulation of the retained-set formula."""
+"""Cache policy against a reference simulation of the retained-set formula,
+read through the cache's array views."""
 
 import numpy as np
 import pytest
 
+from lm_infinite.attention import AttentionConfig, attend_single
+from lm_infinite.encoding import RopeParams
 from lm_infinite.errors import CacheStateError
-from lm_infinite.kv_cache import KvCache, load_cache, save_cache
+from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams
 
 
@@ -22,28 +25,31 @@ def fill(params, n, dim=3):
     return cache
 
 
+def stored(cache):
+    return sorted(cache.positions.tolist())
+
+
 def test_thousand_push_example():
     params = MaskParams(n_global=1, n_local=2, l_pretrain=512)
     cache = fill(params, 1000)
-    assert cache.stored_positions() == [0, 998, 999]
-    entries = cache.visible_entries(1000)
-    assert [e.position for e in entries] == [0, 998, 999]
-    assert [e.effective_distance for e in entries] == [512, 2, 1]
+    assert stored(cache) == [0, 998, 999]
     # Stored vectors really are the ones pushed at those positions.
-    assert entries[1].k[0] == 998.0
-    assert entries[2].v[0] == -999.0
+    by_pos = {int(p): i for i, p in enumerate(cache.positions)}
+    assert cache.keys[by_pos[998]][0] == 998.0
+    assert cache.values[by_pos[999]][0] == -999.0
+    assert cache.keys[by_pos[0]][0] == 0.0
 
 
 def test_exactly_at_capacity_nothing_evicted():
     params = MaskParams(n_global=4, n_local=8, l_pretrain=32)
     cache = fill(params, 12)
-    assert cache.stored_positions() == list(range(12))
+    assert stored(cache) == list(range(12))
 
 
 def test_no_global_branch():
     params = MaskParams(n_global=0, n_local=5, l_pretrain=16)
     cache = fill(params, 100)
-    assert cache.stored_positions() == [95, 96, 97, 98, 99]
+    assert stored(cache) == [95, 96, 97, 98, 99]
 
 
 def test_positions_match_reference_simulation():
@@ -52,23 +58,46 @@ def test_positions_match_reference_simulation():
             params = MaskParams(n_global, n_local, 64)
             for n in (0, 1, 2, 5, 9, 40):
                 cache = fill(params, n)
-                assert cache.stored_positions() == reference_positions(
+                assert stored(cache) == reference_positions(
                     n, n_global, n_local
                 ), (n_global, n_local, n)
+                # Every view holds exactly the retained entries.
+                assert len(cache) == cache.keys.shape[0] == cache.values.shape[0]
+                for i, p in enumerate(cache.positions):
+                    assert cache.keys[i][0] == p and cache.values[i][0] == -p
+
+
+def test_slot_layout_pinned_then_ring():
+    # Position p < n_global sits in slot p; later ones in
+    # n_global + (p - n_global) % n_local.
+    params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
+    cache = fill(params, 9)
+    assert cache.positions.tolist() == [0, 1, 8, 6, 7]
+    assert cache.keys.shape == (5, 3)
 
 
 def test_empty_cache_visible_is_empty():
     params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
     cache = KvCache(params)
-    assert cache.visible_entries(0) == []
+    assert len(cache) == 0
+    assert cache.positions.size == 0
+    assert cache.keys.shape[0] == 0 and cache.values.shape[0] == 0
+
+
+def _tiny_attention(params):
+    return AttentionConfig(2, 4, params, RopeParams(head_dim=4), "lambda")
 
 
 def test_query_inside_pinned_prefix_sees_everything_once():
     params = MaskParams(n_global=6, n_local=3, l_pretrain=16)
-    cache = fill(params, 4)
-    entries = cache.visible_entries(4)
-    assert [e.position for e in entries] == [0, 1, 2, 3]
-    assert [e.effective_distance for e in entries] == [4, 3, 2, 1]
+    config = _tiny_attention(params)
+    cache = KvCache(params)
+    rng = np.random.default_rng(0)
+    for t in range(5):
+        q, k, v = rng.normal(size=(3, 2, 4))
+        step = attend_single(q, k, v, cache, config, position=t)
+    assert step.positions.tolist() == [0, 1, 2, 3, 4]
+    assert step.distances.tolist() == [4, 3, 2, 1, 0]
 
 
 def test_memory_bound_over_long_fuzz():
@@ -78,26 +107,39 @@ def test_memory_bound_over_long_fuzz():
     for t in range(100_000):
         cache.push(np.array([float(t)]), np.array([float(t)]))
         assert len(cache) <= cap
-    assert cache.stored_positions() == [0, 1, 2] + list(range(99_993, 100_000))
+    assert stored(cache) == [0, 1, 2] + list(range(99_993, 100_000))
+    assert cache.keys.base.shape[0] == cap  # preallocated once, never regrown
+
+
+def test_vanilla_cache_grows_and_never_evicts():
+    cache = KvCache(None)
+    for t in range(100):
+        cache.push(np.array([float(t)]), np.array([float(-t)]))
+        assert len(cache) == t + 1
+    assert cache.positions.tolist() == list(range(100))
+    assert cache.keys[:, 0].tolist() == [float(t) for t in range(100)]
+    assert cache.values[:, 0].tolist() == [float(-t) for t in range(100)]
 
 
 def test_eviction_determinism():
     params = MaskParams(n_global=2, n_local=4, l_pretrain=32)
     a = fill(params, 77)
     b = fill(params, 77)
-    ea, eb = a.visible_entries(77), b.visible_entries(77)
-    assert [x.position for x in ea] == [x.position for x in eb]
-    for x, y in zip(ea, eb):
-        assert np.array_equal(x.k, y.k) and np.array_equal(x.v, y.v)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
 
 
 def test_query_position_contract():
     params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
-    cache = fill(params, 5)
-    with pytest.raises(CacheStateError):
-        cache.visible_entries(4)
-    with pytest.raises(CacheStateError):
-        cache.visible_entries(6)
+    config = _tiny_attention(params)
+    cache = KvCache(params)
+    rng = np.random.default_rng(1)
+    for t in range(5):
+        attend_single(*rng.normal(size=(3, 2, 4)), cache, config, position=t)
+    for wrong in (4, 6):
+        with pytest.raises(CacheStateError):
+            attend_single(*rng.normal(size=(3, 2, 4)), cache, config, position=wrong)
+    assert cache.next_position == 5
 
 
 def test_shape_mismatch_rejected():
@@ -108,53 +150,3 @@ def test_shape_mismatch_rejected():
     cache.push(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         cache.push(np.zeros(5), np.zeros(5))
-
-
-def test_snapshot_round_trip(tmp_path):
-    params = MaskParams(n_global=2, n_local=3, l_pretrain=32)
-    rng = np.random.default_rng(40)
-    cache = KvCache(params)
-    vectors = {}
-    for t in range(50):
-        k, v = rng.normal(size=6), rng.normal(size=6)
-        vectors[t] = (k, v)
-        cache.push(k, v)
-    path = tmp_path / "snap.lmkv"
-    save_cache(cache, path)
-    loaded = load_cache(path, l_pretrain=32)
-    assert loaded.next_position == 50
-    assert loaded.stored_positions() == cache.stored_positions()
-    for orig, back in zip(cache.visible_entries(50), loaded.visible_entries(50)):
-        assert orig.position == back.position
-        assert orig.effective_distance == back.effective_distance
-        # f32 storage boundary: values round-trip at single precision.
-        assert np.allclose(back.k, orig.k.astype(np.float32), atol=0)
-        assert np.allclose(back.v, orig.v.astype(np.float32), atol=0)
-    # The reloaded cache keeps streaming with the same policy.
-    loaded.push(np.zeros(6), np.zeros(6))
-    assert loaded.stored_positions() == [0, 1, 48, 49, 50]
-
-
-def test_snapshot_empty_cache(tmp_path):
-    params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
-    cache = KvCache(params)
-    path = tmp_path / "empty.lmkv"
-    save_cache(cache, path)
-    loaded = load_cache(path, l_pretrain=8)
-    assert loaded.next_position == 0
-    assert len(loaded) == 0
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.lmkv"
-    path.write_bytes(b"NOPE" + b"\x00" * 24)
-    with pytest.raises(ValueError):
-        load_cache(path, l_pretrain=8)
-    params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
-    cache = fill(params, 5)
-    good = tmp_path / "good.lmkv"
-    save_cache(cache, good)
-    truncated = tmp_path / "trunc.lmkv"
-    truncated.write_bytes(good.read_bytes()[:-5])
-    with pytest.raises(ValueError):
-        load_cache(truncated, l_pretrain=8)

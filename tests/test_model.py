@@ -1,6 +1,7 @@
 """Trainable toy transformer: init, forward, gradients, decoding, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -262,6 +263,27 @@ def test_session_logits_match_full_forward():
         np.testing.assert_allclose(stepped, full, atol=1e-9)
 
 
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+@pytest.mark.parametrize("n_global", [0, 2])
+def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
+    # Blocks of 8 rows: 45 tokens span five kernel blocks, the lambda window
+    # evicts and pinned keys pass the clamp, and the vanilla cache doubles
+    # from 16 to 32 to 64 slots.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    cfg = tiny_config(encoding=encoding, n_global=n_global, n_local=6, l_pretrain=7)
+    model = init(cfg)
+    ids = (np.arange(45) * 7 + 1) % 31
+    for mode in ("lambda", "vanilla_causal"):
+        full = forward(model, ids, mode=mode)
+        sess = DecodeSession(model, mode)
+        stepped = np.stack([sess.step(int(t)) for t in ids])
+        np.testing.assert_allclose(stepped, full, atol=1e-12, rtol=0)
+        bound = n_global + 6 if mode == "lambda" else len(ids)
+        assert sess.peak_cache_entries() == bound
+
+
 def test_lambda_session_cache_is_bounded():
     cfg = tiny_config()
     model = init(cfg)
@@ -329,6 +351,52 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_load_rejects_every_truncation(tmp_path):
+    model = init(tiny_config(vocab_size=8, d_model=8, n_layers=1, n_heads=2))
+    good = tmp_path / "good.lmtm"
+    save_model(model, good)
+    blob = good.read_bytes()
+    path = tmp_path / "cut.lmtm"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        message = str(exc.value)
+        assert str(path) in message, (cut, message)
+        if cut >= 4:
+            assert f"byte {cut}" in message, (cut, message)
+
+
+def test_load_rejects_unknown_config_key_and_tensor(tmp_path):
+    model = init(tiny_config(vocab_size=8, d_model=8, n_layers=1, n_heads=2))
+    path = tmp_path / "m.lmtm"
+    save_model(model, path)
+    blob = path.read_bytes()
+
+    bad_key = tmp_path / "key.lmtm"
+    bad_key.write_bytes(blob.replace(b"seed=", b"sead="))
+    with pytest.raises(ValueError, match="unknown config key 'sead'"):
+        load_model(bad_key)
+
+    bad_mode = tmp_path / "mode.lmtm"
+    bad_mode.write_bytes(blob.replace(b"mode=lambda", b"mode=lambdX"))
+    with pytest.raises(ValueError, match="mode must be one of"):
+        load_model(bad_mode)
+
+    extra = tmp_path / "extra.lmtm"
+    name = b"layer9/attn/wq"
+    extra.write_bytes(
+        blob + struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + bytes(8)
+    )
+    with pytest.raises(ValueError, match=f"unexpected tensor 'layer9/attn/wq' at byte {len(blob)}"):
+        load_model(extra)
+
+
+def test_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be one of"):
+        tiny_config(mode="lambdX")
 
 
 def test_copy_is_independent():
