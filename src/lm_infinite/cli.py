@@ -79,7 +79,6 @@ _DEFAULTS = {
         "layer": 0,
         "head": 0,
         "mode": None,
-        "bucket_width": 64,
         "probe_len": None,
         "out": "runs/diag",
         "seed": 0,
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int)
     p.add_argument("--head", type=int)
     p.add_argument("--mode", choices=("vanilla", "lambda"))
-    p.add_argument("--bucket-width", dest="bucket_width", type=int)
     p.add_argument("--probe-len", dest="probe_len", type=int)
     p.add_argument("--out")
 

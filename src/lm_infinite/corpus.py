@@ -68,26 +68,27 @@ def _parse_text(blob: bytes, path: str) -> list:
 
 
 def _parse_binary(blob: bytes, path: str) -> list:
-    (version,) = struct.unpack_from("<I", blob, 4)
+    off = 4
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(blob):
+            raise CorpusFormatError(
+                f"{path}: truncated at byte {len(blob)}: {what} needs bytes "
+                f"[{off}, {off + n})"
+            )
+        off += n
+        return off - n
+
+    (version,) = struct.unpack_from("<I", blob, take(4, "version"))
     if version != _VERSION:
         raise CorpusFormatError(f"{path}: unsupported LMTS version {version}")
-    off = 8
     sequences = []
     while off < len(blob):
-        if off + 8 > len(blob):
-            raise CorpusFormatError(
-                f"{path}: truncated sequence header at byte {off}"
-            )
-        (length,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        end = off + 4 * length
-        if end > len(blob):
-            raise CorpusFormatError(
-                f"{path}: sequence of {length} ids at byte {off} overruns file "
-                f"of {len(blob)} bytes"
-            )
-        sequences.append(np.frombuffer(blob, dtype="<u4", count=length, offset=off).copy())
-        off = end
+        what = f"sequence {len(sequences)}"
+        (length,) = struct.unpack_from("<Q", blob, take(8, f"{what} length"))
+        at = take(4 * length, f"{what} ({length} ids)")
+        sequences.append(np.frombuffer(blob, dtype="<u4", count=length, offset=at).copy())
     return sequences
 
 

@@ -4,6 +4,11 @@ Architecture: token embedding -> n_layers x [pre-norm attention + pre-norm
 GeLU MLP, residual] -> final layer norm -> untied LM head. Everything is
 float64 numpy; gradients are hand-written and finite-difference checked.
 
+The layer stack is written once, in ``_forward``. Encode, tracing,
+training and streaming decode differ only in the attention they pass it:
+the blocked kernel with or without a backward stash, the kernel with
+diagnostics captures, or one decode step against a KvCache.
+
 The same weights serve both attention modes: training runs at
 seq_len = train_len <= n_local, where the lambda mask degenerates to the
 causal mask and every distance sits below the clamp, so the dense vanilla
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -40,6 +45,7 @@ from lm_infinite.rng import SplitMix64, derive_stream
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.95, 1e-8  # Adam
 _MAGIC = b"LMTM"
 _VERSION = 1
 
@@ -187,12 +193,13 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    """GeLU and the normal CDF it scales by; the CDF is reused by the grad."""
+    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
 
 
-def _gelu_grad(x):
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * phi
+def _gelu_grad(x, cdf):
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def _check_ids(ids, vocab_size):
@@ -207,31 +214,39 @@ def _check_ids(ids, vocab_size):
     return ids
 
 
-def _find_nan(x):
-    rows = np.isnan(x).any(axis=-1)
-    where = np.argwhere(rows)
-    return where[0][-1] if len(where) else None
+def _check_no_nan(x, after, layer, position):
+    """Raise naming the first NaN row of ``x`` (rows start at ``position``)."""
+    if np.isnan(x).any():
+        row = np.argwhere(np.atleast_1d(np.isnan(x).any(axis=-1)))[0][-1]
+        raise NanDetectedError(
+            f"NaN after {after} in layer {layer}, position {position + row}"
+        )
 
 
 @dataclass
 class ModelTrace:
     """Diagnostics retained from one forward pass."""
 
-    hidden: list  # per layer: residual stream AFTER the block, (seq_len, d_model)
+    hidden: list  # per layer, if asked for: residual stream AFTER the block
     attention: list  # per layer: AttentionOutput with requested captures
-    embedded: np.ndarray | None = None
 
 
-def _forward(model, ids, att_config, need_stash=False, capture=None, hidden=False):
+def _forward(model, ids, attn, stash=None, hidden=None, position=0):
+    """Embedding -> layers -> final layer norm -> head: the only copy.
+
+    ``ids`` is a scalar (one decode token), (seq_len,) or (batch, seq_len).
+    ``attn(i, q, k, v)`` is layer i's attention; it gets (..., n_heads,
+    head_dim) projections and returns values shaped like q. It is the only
+    part that differs between encode, tracing, training and decode.
+    ``stash``, if a list, receives what the backward pass needs: one dict
+    per layer, then (hf, lnf) of the final norm. ``hidden``, if a list,
+    receives the residual stream after each block. ``position`` is the
+    absolute position of the first row, used in NaN messages.
+    """
     cfg = model.config
     p = model.params
-    x = p["embedding"][ids]  # (..., seq_len, d_model)
-    stash = {"ids": ids, "layers": []} if need_stash else None
-    trace = ModelTrace(hidden=[], attention=[], embedded=x if hidden else None) if (
-        capture is not None or hidden
-    ) else None
+    x = p["embedding"][ids]  # (..., d_model)
     heads_shape = x.shape[:-1] + (cfg.n_heads, cfg.head_dim)
-
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         h, ln1 = _layer_norm(x, p[f"{pre}/ln1/gamma"], p[f"{pre}/ln1/beta"])
@@ -239,55 +254,25 @@ def _forward(model, ids, att_config, need_stash=False, capture=None, hidden=Fals
         k = (h @ p[f"{pre}/attn/wk"]).reshape(heads_shape)
         v = (h @ p[f"{pre}/attn/wv"]).reshape(heads_shape)
         try:
-            if capture is not None:
-                att_out = attend(q, k, v, att_config, capture)
-                trace.attention.append(att_out)
-                a_flat = att_out.values
-                att_stash = None
-            else:
-                a, att_stash = attend_with_stash(q, k, v, att_config)
-                a_flat = a.reshape(x.shape)
+            a = attn(i, q, k, v).reshape(x.shape)
         except NanDetectedError as exc:
             raise NanDetectedError(f"layer {i}: {exc}") from None
-        attn_proj = a_flat.reshape(x.shape) @ p[f"{pre}/attn/wo"]
-        x_mid = x + attn_proj
-        pos = _find_nan(x_mid)
-        if pos is not None:
-            raise NanDetectedError(f"NaN after attention in layer {i}, position {pos}")
-        h2, ln2 = _layer_norm(x_mid, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
+        x = x + a @ p[f"{pre}/attn/wo"]
+        _check_no_nan(x, "attention", i, position)
+        h2, ln2 = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
         u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"]
-        g = _gelu(u)
-        mlp_out = g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"]
-        x_next = x_mid + mlp_out
-        pos = _find_nan(x_next)
-        if pos is not None:
-            raise NanDetectedError(f"NaN after MLP in layer {i}, position {pos}")
-        if need_stash:
-            stash["layers"].append(
-                {
-                    "h": h,
-                    "ln1": ln1,
-                    "q": q,
-                    "k": k,
-                    "v": v,
-                    "att": att_stash,
-                    "a_flat": a_flat.reshape(x.shape),
-                    "ln2": ln2,
-                    "h2": h2,
-                    "u": u,
-                    "g": g,
-                }
-            )
-        if trace is not None:
-            trace.hidden.append(x_next if x_next.ndim == 2 else x_next[0])
-        x = x_next
+        g, cdf = _gelu(u)
+        x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"])
+        _check_no_nan(x, "MLP", i, position)
+        if stash is not None:
+            stash.append(dict(h=h, ln1=ln1, a=a, ln2=ln2, h2=h2, u=u, g=g, cdf=cdf))
+        if hidden is not None:
+            hidden.append(x)
 
     hf, lnf = _layer_norm(x, p["ln_f/gamma"], p["ln_f/beta"])
-    logits = hf @ p["head"]
-    if need_stash:
-        stash["lnf"] = lnf
-        stash["hf"] = hf
-    return logits, stash, trace
+    if stash is not None:
+        stash.append((hf, lnf))
+    return hf @ p["head"]
 
 
 def forward(model: ToyModel, tokens, mode: str | None = None) -> np.ndarray:
@@ -296,8 +281,9 @@ def forward(model: ToyModel, tokens, mode: str | None = None) -> np.ndarray:
     if ids.ndim != 1:
         raise ValueError(f"tokens must be one-dimensional, got shape {ids.shape}")
     att_config = model.config.attention_for(mode or model.config.mode)
-    logits, _, _ = _forward(model, ids, att_config)
-    return logits
+    return _forward(
+        model, ids, lambda i, q, k, v: attend_with_stash(q, k, v, att_config)[0]
+    )
 
 
 def forward_traced(
@@ -308,57 +294,71 @@ def forward_traced(
     hidden: bool = False,
 ):
     """Forward plus a ModelTrace carrying per-layer attention captures and
-    (optionally) residual-stream states; used by the diagnostics module."""
+    (if ``hidden``) residual-stream states; used by the diagnostics module."""
     ids = _check_ids(tokens, model.config.vocab_size)
     if ids.ndim != 1:
         raise ValueError(f"tracing expects a single sequence, got shape {ids.shape}")
     att_config = model.config.attention_for(mode or model.config.mode)
-    logits, _, trace = _forward(
-        model, ids, att_config, capture=capture or CaptureSpec(), hidden=hidden
-    )
+    trace = ModelTrace(hidden=[], attention=[])
+
+    def attn(i, q, k, v):
+        out = attend(q, k, v, att_config, capture)
+        trace.attention.append(out)
+        return out.values.reshape(q.shape)
+
+    logits = _forward(model, ids, attn, hidden=trace.hidden if hidden else None)
     return logits, trace
 
 
 def _loss_and_grads(model, ids, att_config):
-    """Mean next-token NLL over all positions, plus parameter gradients."""
+    """Mean next-token NLL over all positions, plus parameter gradients.
+
+    The forward runs over the input rows ids[..., :-1] only; ids[..., 1:]
+    are their targets.
+    """
     cfg = model.config
     p = model.params
-    logits, stash, _ = _forward(model, ids, att_config, need_stash=True)
-    targets = ids[..., 1:]
-    pred = logits[..., :-1, :]
-    zmax = pred.max(axis=-1, keepdims=True)
-    z = pred - zmax
+    inputs, targets = ids[..., :-1], ids[..., 1:]
+    att_stashes = []
+
+    def attn(i, q, k, v):
+        a, att_stash = attend_with_stash(q, k, v, att_config)
+        att_stashes.append(att_stash)
+        return a
+
+    stash = []
+    logits = _forward(model, inputs, attn, stash=stash)
+    *layers, (hf, lnf) = stash
+    zmax = logits.max(axis=-1, keepdims=True)
+    z = logits - zmax
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     log_probs = z - lse
     n_pred = targets.size
     picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)
     loss = -picked.sum() / n_pred
 
-    # dNLL/dlogits = (softmax - onehot) / n_pred at predicting positions.
-    grad_pred = np.exp(log_probs)
-    flat = grad_pred.reshape(-1, cfg.vocab_size)
+    # dNLL/dlogits = (softmax - onehot) / n_pred.
+    dlogits = np.exp(log_probs)
+    flat = dlogits.reshape(-1, cfg.vocab_size)
     flat[np.arange(flat.shape[0]), targets.reshape(-1)] -= 1.0
-    dlogits = np.zeros_like(logits)
-    dlogits[..., :-1, :] = grad_pred / n_pred
+    dlogits /= n_pred
 
-    grads = {name: None for name in p}
-    hf = stash["hf"]
+    grads = {}
     axes = tuple(range(hf.ndim - 1))
     grads["head"] = np.tensordot(hf, dlogits, axes=(axes, axes))
     dhf = dlogits @ p["head"].T
-    dx, dg, db = _layer_norm_backward(dhf, stash["lnf"])
+    dx, dg, db = _layer_norm_backward(dhf, lnf)
     grads["ln_f/gamma"], grads["ln_f/beta"] = dg, db
 
-    demb = np.zeros_like(p["embedding"])
     for i in reversed(range(cfg.n_layers)):
         pre = f"layer{i}"
-        st = stash["layers"][i]
+        st = layers[i]
         # MLP branch
         dmlp = dx
         grads[f"{pre}/mlp/b2"] = dmlp.sum(axis=axes)
         grads[f"{pre}/mlp/w2"] = np.tensordot(st["g"], dmlp, axes=(axes, axes))
         dgelu = dmlp @ p[f"{pre}/mlp/w2"].T
-        du = dgelu * _gelu_grad(st["u"])
+        du = dgelu * _gelu_grad(st["u"], st["cdf"])
         grads[f"{pre}/mlp/b1"] = du.sum(axis=axes)
         grads[f"{pre}/mlp/w1"] = np.tensordot(st["h2"], du, axes=(axes, axes))
         dh2 = du @ p[f"{pre}/mlp/w1"].T
@@ -367,33 +367,23 @@ def _loss_and_grads(model, ids, att_config):
         dx_mid = dx_mid + dx
         # Attention branch
         dattn_proj = dx_mid
-        grads[f"{pre}/attn/wo"] = np.tensordot(
-            st["a_flat"], dattn_proj, axes=(axes, axes)
+        grads[f"{pre}/attn/wo"] = np.tensordot(st["a"], dattn_proj, axes=(axes, axes))
+        da = dattn_proj @ p[f"{pre}/attn/wo"].T
+        h = st["h"]
+        dq, dk, dv = attend_backward(
+            att_stashes[i], da.reshape(h.shape[:-1] + (cfg.n_heads, cfg.head_dim))
         )
-        da_flat = dattn_proj @ p[f"{pre}/attn/wo"].T
-        da = da_flat.reshape(st["q"].shape)
-        dq, dk, dv = attend_backward(st["att"], da)
-        flat_shape = st["h"].shape
-        dh = (
-            dq.reshape(flat_shape) @ p[f"{pre}/attn/wq"].T
-            + dk.reshape(flat_shape) @ p[f"{pre}/attn/wk"].T
-            + dv.reshape(flat_shape) @ p[f"{pre}/attn/wv"].T
-        )
-        grads[f"{pre}/attn/wq"] = np.tensordot(
-            st["h"], dq.reshape(flat_shape), axes=(axes, axes)
-        )
-        grads[f"{pre}/attn/wk"] = np.tensordot(
-            st["h"], dk.reshape(flat_shape), axes=(axes, axes)
-        )
-        grads[f"{pre}/attn/wv"] = np.tensordot(
-            st["h"], dv.reshape(flat_shape), axes=(axes, axes)
-        )
+        dh = 0.0
+        for name, d in (("wq", dq), ("wk", dk), ("wv", dv)):
+            d = d.reshape(h.shape)
+            dh = dh + d @ p[f"{pre}/attn/{name}"].T
+            grads[f"{pre}/attn/{name}"] = np.tensordot(h, d, axes=(axes, axes))
         dx_in, dg1, db1 = _layer_norm_backward(dh, st["ln1"])
         grads[f"{pre}/ln1/gamma"], grads[f"{pre}/ln1/beta"] = dg1, db1
         dx = dx_mid + dx_in
 
-    np.add.at(demb, stash["ids"].reshape(-1), dx.reshape(-1, cfg.d_model))
-    grads["embedding"] = demb
+    grads["embedding"] = np.zeros_like(p["embedding"])
+    np.add.at(grads["embedding"], inputs.reshape(-1), dx.reshape(-1, cfg.d_model))
     return float(loss), grads
 
 
@@ -424,18 +414,14 @@ def train(
     steps: int,
     lr: float = 1e-3,
     batch_shape: tuple = (16, None),
-    mode: str | None = None,
     seed: int | None = None,
-    beta1: float = 0.9,
-    beta2: float = 0.95,
-    adam_eps: float = 1e-8,
 ) -> TrainResult:
     """Adam on mean next-token NLL over windows sampled from the corpus.
 
     Windows are train_len+1 tokens (inputs plus shifted targets); sequences
-    too short to provide one are ignored. Training defaults to the dense
-    vanilla path — identical to lambda at train_len <= n_local — because
-    the batched dense kernels are what numpy runs fast.
+    too short to provide one are ignored. Training runs the vanilla path —
+    identical to lambda at train_len <= n_local — because one dense block
+    per batch is what numpy runs fast.
 
     The model is updated in place and also returned inside TrainResult.
     """
@@ -448,8 +434,7 @@ def train(
         raise ValueError(f"bad batch_shape {batch_shape}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    mode = mode or "vanilla_causal"
-    att_config = cfg.attention_for(mode)
+    att_config = cfg.attention_for("vanilla_causal")
     eligible = [np.asarray(s) for s in corpus if len(s) >= seq_len + 1]
     if steps > 0 and not eligible:
         raise ValueError(
@@ -477,13 +462,13 @@ def train(
             raise TrainingDivergedError(f"training loss became {loss} at step {step}")
         trace.append(loss)
         t = step + 1
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
+        bc1 = 1.0 - _BETA1**t
+        bc2 = 1.0 - _BETA2**t
         for name in sorted(model.params):
             g = grads[name]
-            m_state[name] = beta1 * m_state[name] + (1.0 - beta1) * g
-            v_state[name] = beta2 * v_state[name] + (1.0 - beta2) * (g * g)
-            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + adam_eps)
+            m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
+            v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * (g * g)
+            update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + _ADAM_EPS)
             model.params[name] -= lr * update
     return TrainResult(model=model, loss_trace=trace)
 
@@ -496,11 +481,12 @@ def train(
 class DecodeSession:
     """Streaming per-token decoding state for one sequence.
 
-    Each layer owns a KvCache that follows the session's mode: bounded to
-    the pinned prefix plus the window in lambda mode, growing without
-    bound in vanilla mode (the quadratic baseline). step() pushes the
-    token into every layer's cache, attends over the stored entries and
-    returns the logits for the next position.
+    step() runs the model's one layer stack (``_forward``) on a single
+    token; only its attention differs from a full forward: attend_single
+    on the layer's KvCache at the session's position. Each cache follows
+    the session's mode: bounded to the pinned prefix plus the window in
+    lambda mode, growing without bound in vanilla mode (the quadratic
+    baseline).
     """
 
     def __init__(self, model: ToyModel, mode: str | None = None):
@@ -516,37 +502,18 @@ class DecodeSession:
 
     def step(self, token: int) -> np.ndarray:
         """Consume one token, return next-position logits (vocab,)."""
-        cfg = self.model.config
-        p = self.model.params
         token = int(token)
-        if not 0 <= token < cfg.vocab_size:
+        if not 0 <= token < self.model.config.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary")
-        x = p["embedding"][token]
-        for i in range(cfg.n_layers):
-            pre = f"layer{i}"
-            h, _ = _layer_norm(x, p[f"{pre}/ln1/gamma"], p[f"{pre}/ln1/beta"])
-            q = (h @ p[f"{pre}/attn/wq"]).reshape(cfg.n_heads, cfg.head_dim)
-            k = (h @ p[f"{pre}/attn/wk"]).reshape(cfg.n_heads, cfg.head_dim)
-            v = (h @ p[f"{pre}/attn/wv"]).reshape(cfg.n_heads, cfg.head_dim)
-            a = attend_single(
-                q, k, v, self.layer_caches[i], self.att_config, position=self.position
-            ).values
-            x = x + a @ p[f"{pre}/attn/wo"]
-            if np.isnan(x).any():
-                raise NanDetectedError(
-                    f"NaN after attention in layer {i}, position {self.position}"
-                )
-            h2, _ = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
-            x = x + _gelu(h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"]) @ p[
-                f"{pre}/mlp/w2"
-            ] + p[f"{pre}/mlp/b2"]
-            if np.isnan(x).any():
-                raise NanDetectedError(
-                    f"NaN after MLP in layer {i}, position {self.position}"
-                )
+
+        def attn(i, q, k, v):
+            cache = self.layer_caches[i]
+            out = attend_single(q, k, v, cache, self.att_config, position=self.position)
+            return out.values.reshape(q.shape)
+
+        logits = _forward(self.model, token, attn, position=self.position)
         self.position += 1
-        hf, _ = _layer_norm(x, p["ln_f/gamma"], p["ln_f/beta"])
-        return hf @ p["head"]
+        return logits
 
 
 def generate(

@@ -121,6 +121,19 @@ def test_missing_corpus_file_exit_one_names_path(trained_dir, capsys):
     assert "/no/such/corpus.txt" in capsys.readouterr().err
 
 
+def test_truncated_corpus_exit_one_names_path(trained_dir, tmp_path, capsys):
+    from lm_infinite.corpus import save_corpus
+
+    cut = tmp_path / "cut.lmts"
+    save_corpus([np.arange(10, dtype=np.uint32)], cut, binary=True)
+    cut.write_bytes(cut.read_bytes()[:6])  # inside the version field
+    rc = cli.main(["eval", "--model", str(trained_dir / "model.lmtm"),
+                   "--corpus", str(cut)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(cut) in err and "byte 6" in err
+
+
 def test_bad_config_key_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("steps=2\nbananas=9\n")

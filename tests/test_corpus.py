@@ -85,6 +85,25 @@ def test_binary_truncation_names_byte_offset(tmp_path):
     assert "byte" in str(exc.value)
 
 
+def test_binary_rejects_every_truncation(tmp_path):
+    seqs = [np.arange(3, dtype=np.uint32), np.arange(5, 10, dtype=np.uint32)]
+    good = tmp_path / "good.lmts"
+    save_corpus(seqs, good, binary=True)
+    blob = good.read_bytes()
+    ends = {8: 0, 8 + 8 + 4 * 3: 1}  # cuts that leave whole sequences
+    path = tmp_path / "cut.lmts"
+    for cut in range(4, len(blob)):
+        path.write_bytes(blob[:cut])
+        if cut in ends:
+            back = load_corpus(path)
+            assert [list(s) for s in back] == [list(s) for s in seqs[: ends[cut]]]
+            continue
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        message = str(exc.value)
+        assert str(path) in message and f"byte {cut}" in message, (cut, message)
+
+
 def test_binary_bad_version(tmp_path):
     path = tmp_path / "v.lmts"
     path.write_bytes(b"LMTS" + (7).to_bytes(4, "little"))

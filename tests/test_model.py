@@ -173,6 +173,23 @@ def test_gradients_match_finite_differences(mode):
     assert worst < 1e-4, f"worst relative gradient error {worst}"
 
 
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
+    import lm_infinite.model as model_module
+
+    rows = []
+    real = model_module.attend_with_stash
+
+    def recording(q, k, v, config):
+        rows.append(q.shape[-3])
+        return real(q, k, v, config)
+
+    monkeypatch.setattr(model_module, "attend_with_stash", recording)
+    model = init(tiny_config())
+    loss_and_grads(model, (np.arange(2 * 129).reshape(2, 129) * 7) % 31, mode=mode)
+    assert rows == [128] * model.config.n_layers
+
+
 def test_gradients_batch_is_mean_of_sequences():
     model = init(tiny_config())
     a = (np.arange(9) * 3) % 31
@@ -308,13 +325,16 @@ def test_generate_rejects_mode_mismatch():
         generate(model, [1, 2], 4, mode="lambda", cache=sess)
 
 
-def test_decode_session_nan_names_layer_and_position():
+@pytest.mark.parametrize("position", [0, 5])
+def test_decode_session_nan_names_layer_and_position(position):
     model = init(tiny_config())
-    model.params["layer0/attn/wo"][:] = np.nan
     sess = DecodeSession(model, "lambda")
+    for t in range(position):
+        sess.step(t + 1)
+    model.params["layer0/attn/wo"][:] = np.nan
     with pytest.raises(NanDetectedError) as exc:
         sess.step(1)
-    assert "layer 0" in str(exc.value) and "position 0" in str(exc.value)
+    assert "layer 0" in str(exc.value) and f"position {position}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
