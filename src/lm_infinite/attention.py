@@ -18,17 +18,23 @@ half the work and falls short of that at the criterion's probe lengths.
 MaskParams enforces n_local <= l_pretrain, so window distances never reach
 the clamp; only pinned keys can be far. Under RoPE every key scores
 <R(i) q_i, R(j) k_j> = <R(i-j) q_i, k_j> except a far pinned key, which
-scores <R(l_pretrain) q_i, k_j>: the logit at effective distance
-l_pretrain. Alibi subtracts slope * min(i - j, l_pretrain).
+scores at effective distance l_pretrain:
+<R(l_pretrain) q_i, k_j> = <q_i, R(-l_pretrain) k_j>. The far key
+R(-l_pretrain) k_j is formed once per pinned key and dotted with the raw
+query, so no query is ever rotated to the clamp. Alibi subtracts
+slope * min(i - j, l_pretrain).
 
 ``attend_with_stash`` keeps each block's weights and ``attend_backward``
 walks the same blocks; leading batch axes broadcast. ``attend_single``
 scores one decode step against a KvCache with the same logit and softmax
-code. Everything runs in float64.
+code; the cache stores each far key when its pinned token is pushed, so a
+step costs one cos/sin of its own position and no other trig. Everything
+runs in float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,12 +114,35 @@ class AttentionOutput:
     last_distances: np.ndarray | None = None  # clamped (lambda) or raw (vanilla)
 
 
-@dataclass
 class SingleStepOutput:
-    values: np.ndarray  # (n_heads * head_dim,)
-    weights: np.ndarray  # (n_heads, n_keys) over ascending positions
-    positions: np.ndarray
-    distances: np.ndarray
+    """One decode step: ``values`` (n_heads * head_dim,), plus the attended
+    entries by ascending position: ``weights`` (n_heads, n_keys),
+    ``positions`` and ``distances`` (clamped in lambda mode). The three
+    are sorted out of cache slot order only when first read."""
+
+    def __init__(self, values, w, dist, position, clamp):
+        self.values = values
+        self._w = w  # (n_heads, 1, n_keys) in slot order
+        self._dist = dist  # (n_keys,) raw distances in slot order
+        self._position = position
+        self._clamp = clamp
+
+    @functools.cached_property
+    def _order(self):
+        return np.argsort(-self._dist)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._w[:, 0, self._order]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._position - self._dist[self._order]
+
+    @property
+    def distances(self) -> np.ndarray:
+        d = self._dist[self._order]
+        return d if self._clamp is None else np.minimum(d, self._clamp)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -129,16 +158,18 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
     return -(w * logs).sum(axis=-1)
 
 
-def _check_nan(q, k, v):
+def _check_nan(q, k, v, first_row=0):
+    """Raise naming the first NaN row; rows are numbered from ``first_row``."""
     for name, arr in (("q", q), ("k", k), ("v", v)):
         bad = np.isnan(arr)
         if bad.any():
             rows = bad.any(axis=(-1, -2))
             where = np.argwhere(rows)[0]
+            row = first_row + where[-1]
             if where.size == 1:
-                raise NanDetectedError(f"NaN in attention input {name} at row {where[0]}")
+                raise NanDetectedError(f"NaN in attention input {name} at row {row}")
             raise NanDetectedError(
-                f"NaN in attention input {name} at batch {where[0]}, row {where[1]}"
+                f"NaN in attention input {name} at batch {where[0]}, row {row}"
             )
 
 
@@ -155,7 +186,7 @@ def _logits(qn, kn, dist, config, clamp, far=None):
 
     ``qn``/``kn`` are head-major (..., H, n, head_dim), rotated to their own
     positions under RoPE and raw under Alibi. ``far`` = (qf, kf) holds the
-    clamp-rotated queries and the raw keys of the leading pinned columns;
+    raw queries and the far keys R(-clamp) k of the leading pinned columns;
     under RoPE those columns take <qf, kf> wherever dist exceeds the clamp.
     """
     scale = 1.0 / math.sqrt(config.head_dim)
@@ -201,13 +232,13 @@ class _Stash:
     config: AttentionConfig
     window: tuple  # (G, W, clamp)
     blocks: list  # per block: (s, e, weights, far)
-    qn: np.ndarray  # head-major queries, rotated under RoPE
-    kn: np.ndarray  # head-major keys, rotated under RoPE
+    qn: np.ndarray  # head-major queries, rotated to their positions under RoPE
+    kn: np.ndarray  # head-major keys, rotated to their positions under RoPE
     vh: np.ndarray
     rope: tuple | None = None  # (cos, sin) per position
-    qf: np.ndarray | None = None  # R(clamp) q, for far pinned keys
-    kf: np.ndarray | None = None  # raw pinned keys
-    rope_clamp: tuple | None = None
+    qf: np.ndarray | None = None  # raw queries, scored against far keys
+    kf: np.ndarray | None = None  # far keys R(-clamp) k of the pinned rows
+    rope_clamp: tuple | None = None  # (cos, sin) of the clamp
 
 
 def _forward(q, k, v, config):
@@ -225,9 +256,9 @@ def _forward(q, k, v, config):
     stash = _Stash(config, (G, W, clamp), [], qn, kn, vh)
     if config.is_rope:
         if G and clamp is not None and seq_len - 1 > clamp:
-            stash.rope_clamp = rope_cos_sin(clamp, config.encoding)
-            stash.qf = apply_rotation_f64(qn, *stash.rope_clamp)
-            stash.kf = kn[..., :G, :].copy()
+            stash.rope_clamp = cos_c, sin_c = rope_cos_sin(clamp, config.encoding)
+            stash.qf = qn
+            stash.kf = apply_rotation_f64(kn[..., :G, :], cos_c, -sin_c)
         stash.rope = rope_cos_sin(np.arange(seq_len), config.encoding)
         stash.qn = qn = apply_rotation_f64(qn, *stash.rope)
         stash.kn = kn = apply_rotation_f64(kn, *stash.rope)
@@ -284,9 +315,8 @@ def _backward(stash: _Stash, d_out):
         dq = apply_rotation_f64(dqn, cos, -sin)
         dk = apply_rotation_f64(dkn, cos, -sin)
         if stash.qf is not None:
-            cos_c, sin_c = stash.rope_clamp
-            dq += apply_rotation_f64(dqf, cos_c, -sin_c)
-            dk[..., :G, :] += dkf
+            dq += dqf
+            dk[..., :G, :] += apply_rotation_f64(dkf, *stash.rope_clamp)
     return tuple(np.swapaxes(x, -3, -2) for x in (dq, dk, dv))
 
 
@@ -377,9 +407,11 @@ def attend_single(
     The token's key/value go into the cache first (RoPE keys rotated to
     their own position), so the stored entries are exactly the mask row of
     ``position``: the pinned prefix plus the window in lambda mode, every
-    earlier position in vanilla mode. Every stored entry is scored with
+    earlier position in vanilla mode. A pinned token under RoPE also
+    stores its far key R(-l_pretrain) k. Every stored entry is scored with
     the kernel's logit and softmax code, and the result matches the
-    corresponding attend() row to numerical precision.
+    corresponding attend() row to numerical precision. The only trig is
+    one cos/sin of ``position``, whatever the cache holds.
     """
     if position != cache.next_position:
         raise CacheStateError(
@@ -396,33 +428,25 @@ def attend_single(
     q = np.asarray(q, dtype=np.float64).reshape(n_heads, head_dim)
     k_self = np.asarray(k_self, dtype=np.float64).reshape(n_heads, head_dim)
     v_self = np.asarray(v_self, dtype=np.float64).reshape(n_heads, head_dim)
-    _check_nan(q[None], k_self[None], v_self[None])
+    _check_nan(q[None], k_self[None], v_self[None], position)
     G, _, clamp = _window(config, position + 1)
 
     q = q[:, None, :]  # (n_heads, 1, head_dim): one query row
-    qn = q
+    qn, kn, far = q, k_self, None
     if config.is_rope:
         cos, sin = rope_cos_sin(position, config.encoding)
         qn = apply_rotation_f64(q, cos, sin)
-        k_self = apply_rotation_f64(k_self, cos, sin)
-    cache.push(k_self, v_self)
-    keys, positions = cache.keys, cache.positions
-    dist = position - positions[None, :]
-    far = None
-    g = min(G, len(positions))  # pinned entries lead the slots
-    if config.is_rope and g and position > clamp:
-        cos, sin = rope_cos_sin(positions[:g, None], config.encoding)
-        kf = apply_rotation_f64(keys[:g], cos, -sin)  # back to raw keys
-        far = (apply_rotation_f64(q, *rope_cos_sin(clamp, config.encoding)),
-               np.swapaxes(kf, 0, 1))
-    z = _logits(qn, np.swapaxes(keys, 0, 1), dist, config, clamp, far)
+        kn = apply_rotation_f64(k_self, cos, sin)
+    cache.push(kn, v_self)
+    if config.is_rope and G:
+        if position < G:
+            cos, sin = rope_cos_sin(clamp, config.encoding)
+            cache.far_keys[position] = apply_rotation_f64(k_self, cos, -sin)
+        if position > clamp:
+            # Pinned entries lead the slots, so far key row j is column j.
+            far = (q, np.swapaxes(cache.far_keys, 0, 1))
+    dist = position - cache.positions
+    z = _logits(qn, np.swapaxes(cache.keys, 0, 1), dist[None, :], config, clamp, far)
     w = _softmax(z)
     values = (w @ np.swapaxes(cache.values, 0, 1)).reshape(-1)
-    order = np.argsort(positions)
-    d = dist[0, order]
-    return SingleStepOutput(
-        values=values,
-        weights=w[:, 0, order],
-        positions=positions[order],
-        distances=d if clamp is None else np.minimum(d, clamp),
-    )
+    return SingleStepOutput(values, w, dist, position, clamp)

@@ -29,11 +29,18 @@ class RopeParams:
             raise ValueError(f"head_dim must be even and >= 2, got {self.head_dim}")
         if not (float(self.base) > 0.0 and math.isfinite(self.base)):
             raise ValueError(f"base must be positive and finite, got {self.base}")
+        a = np.arange(self.head_dim // 2, dtype=np.float64)
+        speeds = np.asarray(self.base, dtype=np.float64) ** (-2.0 * a / self.head_dim)
+        speeds.flags.writeable = False
+        object.__setattr__(self, "_omegas", speeds)
 
     def omegas(self) -> np.ndarray:
-        """Rotation speeds, strictly decreasing, omega_0 = 1. Shape (head_dim//2,)."""
-        a = np.arange(self.head_dim // 2, dtype=np.float64)
-        return np.asarray(self.base, dtype=np.float64) ** (-2.0 * a / self.head_dim)
+        """Rotation speeds, strictly decreasing, omega_0 = 1. Shape (head_dim//2,).
+
+        Computed once, at construction; the array is read-only because every
+        caller (and every copy of these params) gets the same one.
+        """
+        return self._omegas
 
 
 @dataclass(frozen=True)

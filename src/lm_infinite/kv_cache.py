@@ -13,6 +13,13 @@ Occupied slots are always [0, len(cache)), pinned entries first, so
 part is in ring order, not ascending. attend_single pushes a token before
 it attends, so after a push at position p the stored entries are exactly
 the mask row of p.
+
+A lambda cache also holds ``far_keys``, one (n_global, *entry_shape) array
+beside the pinned slots. Under RoPE attend_single writes R(-l_pretrain) k
+there when it pushes a pinned token, so a query past the clamp scores that
+key as <q, far key> with no per-step rotation; Alibi leaves it unused. Rows
+start as NaN, so a pinned key pushed without its far key cannot be scored
+silently.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ class KvCache:
     def __init__(self, params: MaskParams | None):
         self.params = params
         self.next_position = 0
-        self._k = self._v = np.empty(0)
+        self._k = self._v = self._kf = np.empty(0)
         self._pos = np.empty(0, dtype=np.int64)
         self._len = 0
 
@@ -48,6 +55,11 @@ class KvCache:
     @property
     def positions(self) -> np.ndarray:
         return self._pos[: self._len]
+
+    @property
+    def far_keys(self) -> np.ndarray:
+        """Far keys of the pinned entries stored so far; row p is position p."""
+        return self._kf[: self._len]
 
     def push(self, k, v) -> None:
         """Store (k, v) at position next_position and advance the stream."""
@@ -78,6 +90,7 @@ class KvCache:
             capacity = max(_MIN_CAPACITY, 2 * len(self._pos))
         else:
             capacity = self.params.n_global + self.params.n_local
+            self._kf = np.full((self.params.n_global,) + entry_shape, np.nan)
         n = self._len
         k = np.empty((capacity,) + entry_shape)
         v = np.empty((capacity,) + entry_shape)

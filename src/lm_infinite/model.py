@@ -166,9 +166,10 @@ def init(config: ToyModelConfig) -> ToyModel:
 
 
 def _layer_norm(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # sum / n is what np.mean computes, without its Python-level wrapper.
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)

@@ -1,5 +1,6 @@
 """Rotary and Alibi encodings against rotate-both-sides oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -34,6 +35,21 @@ def test_omegas_decreasing_unit_start():
     assert w[0] == 1.0
     assert np.all(np.diff(w) < 0)
     assert w.shape == (8,)
+
+
+def test_omegas_computed_once_and_read_only():
+    params = RopeParams(head_dim=16, base=500.0)
+    w = params.omegas()
+    a = np.arange(8, dtype=np.float64)
+    assert np.array_equal(w, 500.0 ** (-2.0 * a / 16))
+    assert params.omegas() is w
+    # Every caller and every copy gets this array, so none may write to it.
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    twin = copy.copy(params)
+    assert twin == params and twin.omegas() is w
+    assert np.array_equal(RopeParams(head_dim=16, base=500.0).omegas(), w)
 
 
 def test_position_zero_is_identity():

@@ -337,6 +337,51 @@ def test_decode_session_nan_names_layer_and_position(position):
     assert "layer 0" in str(exc.value) and f"position {position}" in str(exc.value)
 
 
+@pytest.mark.parametrize("position", [0, 5])
+def test_decode_nan_in_attention_input_names_forward_row(position):
+    # A NaN embedding row reaches the attention inputs at ``position``: the
+    # decode message names the same row as the full forward's.
+    model = init(tiny_config())
+    model.params["embedding"][7] = np.nan
+    ids = [1, 2, 3, 4, 5][:position] + [7]
+    with pytest.raises(NanDetectedError) as full:
+        forward(model, ids)
+    sess = DecodeSession(model, "lambda")
+    for t in ids[:-1]:
+        sess.step(t)
+    with pytest.raises(NanDetectedError) as step:
+        sess.step(7)
+    assert f"layer 0: NaN in attention input q at row {position}" == str(full.value)
+    assert str(step.value) == str(full.value)
+
+
+def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
+    # Past the clamp, a RoPE step rotates only its query and its own key in
+    # each layer: far pinned keys are stored once, so no per-step rotation
+    # grows with n_global.
+    import lm_infinite.attention as attention
+
+    rotate = attention.apply_rotation_f64
+    rows = []
+
+    def counting(x, cos, sin):
+        rows.append(np.size(x) // np.shape(x)[-1])
+        return rotate(x, cos, sin)
+
+    counts = {}
+    for n_global in (0, 4, 16):
+        cfg = tiny_config(n_global=n_global)
+        sess = DecodeSession(init(cfg), "lambda")
+        while sess.position <= cfg.l_pretrain + n_global + 1:
+            sess.step(sess.position % 31)
+        rows.clear()
+        monkeypatch.setattr(attention, "apply_rotation_f64", counting)
+        sess.step(3)
+        monkeypatch.setattr(attention, "apply_rotation_f64", rotate)
+        counts[n_global] = sum(rows)
+    assert counts == {g: 2 * 2 * 2 for g in (0, 4, 16)}  # (q, k) x heads x layers
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
