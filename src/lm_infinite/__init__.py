@@ -4,8 +4,6 @@ decoder-only transformer, and evaluation/diagnostics utilities."""
 
 from lm_infinite.attention import (
     AttentionConfig,
-    AttentionOutput,
-    CaptureSpec,
     attend,
     attend_single,
 )
@@ -70,9 +68,7 @@ from lm_infinite.model import (
 __all__ = [
     "AlibiParams",
     "AttentionConfig",
-    "AttentionOutput",
     "CacheStateError",
-    "CaptureSpec",
     "CorpusFormatError",
     "DecodeSession",
     "DiagnosticsReport",

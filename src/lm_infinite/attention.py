@@ -24,17 +24,17 @@ R(-l_pretrain) k_j is formed once per pinned key and dotted with the raw
 query, so no query is ever rotated to the clamp. Alibi subtracts
 slope * min(i - j, l_pretrain).
 
-``attend_with_stash`` keeps each block's weights and ``attend_backward``
-walks the same blocks; leading batch axes broadcast. ``attend_single``
-scores one decode step against a KvCache with the same logit and softmax
-code; the cache stores each far key when its pinned token is pushed, so a
-step costs one cos/sin of its own position and no other trig. Everything
-runs in float64.
+``attend`` returns the values and a stash of each block's weights;
+``attend_backward`` walks the same blocks, and diagnostics read row
+entropies, single rows and the last row's logits off the same stash.
+Leading batch axes broadcast. ``attend_single`` scores one decode step
+against a KvCache with the same logit and softmax code; the cache stores
+each far key when its pinned token is pushed, so a step costs one cos/sin
+of its own position and no other trig. Everything runs in float64.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -88,61 +88,6 @@ class AttentionConfig:
     @property
     def is_rope(self) -> bool:
         return isinstance(self.encoding, RopeParams)
-
-
-@dataclass(frozen=True)
-class CaptureSpec:
-    """Opt-in diagnostics retention; everything off keeps attend O(n) memory."""
-
-    weights: bool = False
-    entropy: bool = False
-    last_row_logits: bool = False
-
-    @property
-    def any(self) -> bool:
-        return self.weights or self.entropy or self.last_row_logits
-
-
-@dataclass
-class AttentionOutput:
-    values: np.ndarray  # (seq_len, n_heads * head_dim)
-    weights: list | None = None  # per row: (n_heads, row_size)
-    key_indices: list | None = None  # per row: (row_size,) int
-    row_entropy: np.ndarray | None = None  # (n_heads, seq_len)
-    last_logits: np.ndarray | None = None  # (n_heads, last row size)
-    last_indices: np.ndarray | None = None
-    last_distances: np.ndarray | None = None  # clamped (lambda) or raw (vanilla)
-
-
-class SingleStepOutput:
-    """One decode step: ``values`` (n_heads * head_dim,), plus the attended
-    entries by ascending position: ``weights`` (n_heads, n_keys),
-    ``positions`` and ``distances`` (clamped in lambda mode). The three
-    are sorted out of cache slot order only when first read."""
-
-    def __init__(self, values, w, dist, position, clamp):
-        self.values = values
-        self._w = w  # (n_heads, 1, n_keys) in slot order
-        self._dist = dist  # (n_keys,) raw distances in slot order
-        self._position = position
-        self._clamp = clamp
-
-    @functools.cached_property
-    def _order(self):
-        return np.argsort(-self._dist)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w[:, 0, self._order]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._position - self._dist[self._order]
-
-    @property
-    def distances(self) -> np.ndarray:
-        d = self._dist[self._order]
-        return d if self._clamp is None else np.minimum(d, self._clamp)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -239,13 +184,28 @@ class _Stash:
     qf: np.ndarray | None = None  # raw queries, scored against far keys
     kf: np.ndarray | None = None  # far keys R(-clamp) k of the pinned rows
     rope_clamp: tuple | None = None  # (cos, sin) of the clamp
+    last_logits: np.ndarray | None = None  # (..., H, n): row(-1)'s masked logits
+
+    def entropy(self) -> np.ndarray:
+        """Row entropies (nats), shape (..., n_heads, seq_len)."""
+        return np.concatenate([_entropy_rows(w) for _, _, w, _ in self.blocks], -1)
+
+    def row(self, i: int):
+        """Query row i's attended keys: (key indices (n,), weights
+        (..., n_heads, n), distances (n,)), distances clamped in lambda mode."""
+        G, W, clamp = self.window
+        i = range(self.qn.shape[-2])[i]
+        s, e, w, _ = next(b for b in self.blocks if b[0] <= i < b[1])
+        _, _, js, dist, allowed = _block_keys(s, e, G, W)
+        cols = allowed[i - s]
+        d = dist[i - s, cols]
+        return js[cols], w[..., i - s, cols], d if clamp is None else np.minimum(d, clamp)
 
 
 def _forward(q, k, v, config):
     """Blocked forward over (..., seq_len, n_heads, head_dim) inputs.
 
-    Returns head-major values, the stash, and the masked logits of the
-    last row (for last-row captures).
+    Returns head-major values and the stash.
     """
     seq_len = q.shape[-3]
     G, W, clamp = _window(config, seq_len)
@@ -273,11 +233,12 @@ def _forward(q, k, v, config):
             (stash.qf[..., s:e, :], stash.kf[..., :g, :]) if far else None,
         )
         np.copyto(z, -np.inf, where=~allowed)
-        last = z[..., -1, :].copy()
+        if e == seq_len:
+            stash.last_logits = z[..., -1, allowed[-1]]
         w = _softmax(z)
         np.matmul(w, _take(vh, g, lo, e), out=out[..., s:e, :])
         stash.blocks.append((s, e, w, far))
-    return out, stash, last
+    return out, stash
 
 
 def _backward(stash: _Stash, d_out):
@@ -325,16 +286,13 @@ def _backward(stash: _Stash, d_out):
 # ---------------------------------------------------------------------------
 
 
-def _validate_qkv(q_seq, k_seq, v_seq, config, batched_ok):
+def _validate_qkv(q_seq, k_seq, v_seq, config):
     """Inputs as float64 arrays, once shapes and values are checked."""
     q, k, v = (np.asarray(x, dtype=np.float64) for x in (q_seq, k_seq, v_seq))
     if q.shape != k.shape or q.shape != v.shape:
         raise ValueError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    if not (q.ndim == 3 or q.ndim == 4 and batched_ok):
-        raise ValueError(
-            f"expected (seq_len, n_heads, head_dim){' or batched' if batched_ok else ''},"
-            f" got shape {q.shape}"
-        )
+    if q.ndim < 3:
+        raise ValueError(f"expected (..., seq_len, n_heads, head_dim), got shape {q.shape}")
     if q.shape[-2] != config.n_heads or q.shape[-1] != config.head_dim:
         raise ValueError(
             f"trailing dims {q.shape[-2:]} do not match "
@@ -346,62 +304,26 @@ def _validate_qkv(q_seq, k_seq, v_seq, config, batched_ok):
     return q, k, v
 
 
-def attend(q_seq, k_seq, v_seq, config: AttentionConfig, capture=None) -> AttentionOutput:
-    """Full-sequence attention. Inputs are (seq_len, n_heads, head_dim).
+def attend(q_seq, k_seq, v_seq, config: AttentionConfig):
+    """Full-sequence attention over (..., seq_len, n_heads, head_dim) inputs.
 
-    Returns per-position outputs flattened to (seq_len, n_heads*head_dim),
-    plus whatever the CaptureSpec asked to retain, sliced from the block
-    weights.
+    Returns (values, stash): values shaped like q, and the stash that
+    attend_backward needs. The stash also answers diagnostics: entropy(),
+    row(i) and last_logits.
     """
-    capture = capture or CaptureSpec()
-    q, k, v = _validate_qkv(q_seq, k_seq, v_seq, config, batched_ok=False)
-    seq_len = q.shape[0]
-    out, stash, last = _forward(q, k, v, config)
-    result = AttentionOutput(values=np.swapaxes(out, 0, 1).reshape(seq_len, -1))
-    if not capture.any:
-        return result
-
-    G, W, clamp = stash.window
-    if capture.entropy:
-        result.row_entropy = np.concatenate([_entropy_rows(b[2]) for b in stash.blocks], -1)
-    if capture.weights:
-        result.weights, result.key_indices = [], []
-        for s, e, w, _ in stash.blocks:
-            _, _, js, _, allowed = _block_keys(s, e, G, W)
-            for r, cols in enumerate(allowed):
-                result.weights.append(w[:, r, cols])
-                result.key_indices.append(js[cols])
-    if capture.last_row_logits:
-        s, e = stash.blocks[-1][:2]
-        _, _, js, dist, allowed = _block_keys(s, e, G, W)
-        cols = allowed[-1]
-        result.last_logits = last[:, cols]
-        result.last_indices = js[cols]
-        d = dist[-1, cols]
-        result.last_distances = d if clamp is None else np.minimum(d, clamp)
-    return result
-
-
-def attend_with_stash(q_seq, k_seq, v_seq, config: AttentionConfig):
-    """Forward pass retaining what the analytic backward needs.
-
-    Accepts (seq_len, n_heads, head_dim) or a batched
-    (batch, seq_len, n_heads, head_dim); returns (values, stash) with
-    values un-flattened. Pair with attend_backward.
-    """
-    q, k, v = _validate_qkv(q_seq, k_seq, v_seq, config, batched_ok=True)
-    out, stash, _ = _forward(q, k, v, config)
+    q, k, v = _validate_qkv(q_seq, k_seq, v_seq, config)
+    out, stash = _forward(q, k, v, config)
     return np.swapaxes(out, -3, -2), stash
 
 
 def attend_backward(stash, d_values):
-    """Gradients of attend_with_stash w.r.t. (q, k, v)."""
+    """Gradients of attend w.r.t. (q, k, v)."""
     return _backward(stash, np.asarray(d_values, dtype=np.float64))
 
 
 def attend_single(
     q, k_self, v_self, cache: KvCache, config: AttentionConfig, *, position: int
-) -> SingleStepOutput:
+) -> np.ndarray:
     """One decode step at ``position``: push the token, then attend.
 
     The token's key/value go into the cache first (RoPE keys rotated to
@@ -448,5 +370,4 @@ def attend_single(
     dist = position - cache.positions
     z = _logits(qn, np.swapaxes(cache.keys, 0, 1), dist[None, :], config, clamp, far)
     w = _softmax(z)
-    values = (w @ np.swapaxes(cache.values, 0, 1)).reshape(-1)
-    return SingleStepOutput(values, w, dist, position, clamp)
+    return (w @ np.swapaxes(cache.values, 0, 1)).reshape(-1)

@@ -71,7 +71,6 @@ _DEFAULTS = {
         "prompt": None,
         "n_new": 100,
         "mode": None,
-        "seed": 0,
     },
     "diag": {
         "model": None,
@@ -90,7 +89,6 @@ _DEFAULTS = {
         "milestones": "1x,2x,4x,8x,16x",
         "gen_len": 100,
         "out": "runs/eval",
-        "seed": 0,
         "n_global": None,
         "n_local": None,
         "l_pretrain": None,
@@ -198,19 +196,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, help="master seed (default 0)")
 
     p = subs.add_parser("mask", help="print a lambda attention mask")
     p.add_argument("--seq-len", dest="seq_len", type=int, required=True)
     p.add_argument("--n-global", dest="n_global", type=int)
     p.add_argument("--n-local", dest="n_local", type=int)
     p.add_argument("--format", choices=("ranges", "dense"))
-    p.add_argument("--config", help="flat key=value config file")
+    add_common(p, seed=False)
 
     p = subs.add_parser("train", help="train the toy model")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--corpus", help="token corpus (text or LMTS); synthetic if omitted")
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("vanilla", "lambda"))
 
     p = subs.add_parser("generate", help="greedy continuation from a prompt")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--model", required=True, help="checkpoint path (.lmtm)")
     p.add_argument("--prompt", required=True,
                    help="space-separated token ids, or @FILE to read them")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("vanilla", "lambda"))
 
     p = subs.add_parser("diag", help="OOD diagnostics; writes three CSVs")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", help="probe tokens come from its first sequence")
     p.add_argument("--layer", type=int)
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = subs.add_parser("eval", help="NLL/perplexity and continuation scores")
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=("vanilla", "lambda", "both"))
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the checkpoint's mask parameter")
 
     p = subs.add_parser("bench", help="encode/decode wall-clock timings")
-    add_common(p)
+    add_common(p, seed=True)
     p.add_argument("--model", help="checkpoint; a fresh default model if omitted")
     p.add_argument("--seq-len", dest="seq_len", type=int)
     p.add_argument("--mode", choices=("vanilla", "lambda"))

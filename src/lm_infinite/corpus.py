@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from lm_infinite.binary import ByteReader
 from lm_infinite.errors import CorpusFormatError
 from lm_infinite.rng import SplitMix64, derive_stream
 
@@ -68,27 +69,16 @@ def _parse_text(blob: bytes, path: str) -> list:
 
 
 def _parse_binary(blob: bytes, path: str) -> list:
-    off = 4
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise CorpusFormatError(
-                f"{path}: truncated at byte {len(blob)}: {what} needs bytes "
-                f"[{off}, {off + n})"
-            )
-        off += n
-        return off - n
-
-    (version,) = struct.unpack_from("<I", blob, take(4, "version"))
+    reader = ByteReader(blob, path, CorpusFormatError, offset=4)
+    (version,) = reader.unpack("<I", "version")
     if version != _VERSION:
         raise CorpusFormatError(f"{path}: unsupported LMTS version {version}")
     sequences = []
-    while off < len(blob):
+    while not reader.at_end():
         what = f"sequence {len(sequences)}"
-        (length,) = struct.unpack_from("<Q", blob, take(8, f"{what} length"))
-        at = take(4 * length, f"{what} ({length} ids)")
-        sequences.append(np.frombuffer(blob, dtype="<u4", count=length, offset=at).copy())
+        (length,) = reader.unpack("<Q", f"{what} length")
+        ids = reader.take(4 * length, f"{what} ({length} ids)")
+        sequences.append(np.frombuffer(ids, dtype="<u4").copy())
     return sequences
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lm_infinite.attention import CaptureSpec
 from lm_infinite.model import ToyModel, forward_traced
 from lm_infinite.rng import SplitMix64, derive_stream
 
@@ -63,14 +62,12 @@ def entropy_curve(model: ToyModel, tokens, mode: str | None = None) -> EntropyCu
     """One traced forward; causality makes row i the last-token row of the
     length-(i+1) prefix, so a single pass yields the whole curve."""
     tokens = _check_tokens(tokens, 2, "entropy_curve")
-    _, trace = forward_traced(
-        model, tokens, mode=mode, capture=CaptureSpec(entropy=True)
-    )
+    _, trace = forward_traced(model, tokens, mode=mode)
     return _entropy_from_trace(trace)
 
 
 def _entropy_from_trace(trace) -> EntropyCurve:
-    ent = np.stack([att.row_entropy for att in trace.attention])
+    ent = np.stack(trace.entropy)
     return EntropyCurve(lengths=np.arange(1, ent.shape[-1] + 1), entropy=ent)
 
 
@@ -112,9 +109,7 @@ def logit_profile(
         raise ValueError("bucket_width must be >= 1")
     tokens = _check_tokens(tokens, 2, "logit_profile")
     mode = mode or model.config.mode
-    _, trace = forward_traced(
-        model, tokens, mode=mode, capture=CaptureSpec(last_row_logits=True)
-    )
+    _, trace = forward_traced(model, tokens, mode=mode)
     return _profile_from_trace(trace, model.config, mode, layer, head, bucket_width)
 
 
@@ -137,9 +132,8 @@ def _check_layer_head(cfg, layer, head):
 
 
 def _profile_from_trace(trace, cfg, mode, layer, head, bucket_width=64) -> LogitProfile:
-    att = trace.attention[layer]
-    logits = np.asarray(att.last_logits[head], dtype=np.float64)
-    dist = np.asarray(att.last_distances)
+    logits = trace.last_logits[layer][head]
+    dist = trace.last_distances[layer]
 
     if mode == "lambda":
         # The far branch clamps every distance; anything beyond the limit
@@ -210,7 +204,7 @@ def position_projection(
     """Top-2 PCA of the residual stream after ``layer``, one dot per token."""
     _check_layer(model.config, layer)
     tokens = _check_tokens(tokens, 3, "position_projection")
-    _, trace = forward_traced(model, tokens, mode=mode, hidden=True)
+    _, trace = forward_traced(model, tokens, mode=mode)
     return project_states(trace.hidden[layer])
 
 
@@ -302,13 +296,7 @@ def run_diagnostics(
     _check_layer(cfg, pca_layer)
     tokens = _check_tokens(tokens, 3, "run_diagnostics")
     mode = mode or cfg.mode
-    _, trace = forward_traced(
-        model,
-        tokens,
-        mode=mode,
-        capture=CaptureSpec(entropy=True, last_row_logits=True),
-        hidden=True,
-    )
+    _, trace = forward_traced(model, tokens, mode=mode)
     profile = _profile_from_trace(trace, cfg, mode, layer, head)
     return DiagnosticsReport(
         logit_stats=profile,

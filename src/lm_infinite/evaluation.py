@@ -43,9 +43,12 @@ class MilestoneSpec:
             )
         return self
 
-    @classmethod
-    def default_for(cls, train_len: int) -> "MilestoneSpec":
-        return cls(tuple(train_len * k for k in (1, 2, 4, 8, 16)))
+
+def _spec(milestones) -> MilestoneSpec:
+    """``milestones`` as given if a MilestoneSpec, else one built from it."""
+    if isinstance(milestones, MilestoneSpec):
+        return milestones
+    return MilestoneSpec(tuple(milestones))
 
 
 def parse_milestones(text: str, train_len: int) -> MilestoneSpec:
@@ -82,7 +85,7 @@ def _log_softmax(rows):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def nll_curve(model, corpus, milestones, mode: str | None = None, window: int = NLL_WINDOW):
+def nll_curve(model, corpus, milestones, mode: str | None = None):
     """Per-milestone NLL in a trailing window, one forward pass per sequence.
 
     Each sequence is run once at its largest qualifying milestone; smaller
@@ -90,10 +93,7 @@ def nll_curve(model, corpus, milestones, mode: str | None = None, window: int = 
     to truncated passes). Sequences shorter than a milestone are skipped
     and counted.
     """
-    if isinstance(milestones, MilestoneSpec):
-        ms = milestones.milestones
-    else:
-        ms = MilestoneSpec(tuple(milestones)).milestones
+    ms = _spec(milestones).milestones
     corpus = [np.asarray(s) for s in corpus]
     if not corpus:
         raise ValueError("empty corpus")
@@ -109,7 +109,7 @@ def nll_curve(model, corpus, milestones, mode: str | None = None, window: int = 
         for m in ms:
             if m > top:
                 continue
-            lo = max(1, m - window)
+            lo = max(1, m - NLL_WINDOW)
             rows = logp[np.arange(lo - 1, m - 1), ids[lo:m]]
             parts[m].extend((-rows).tolist())
             counts[m] += 1
@@ -152,10 +152,7 @@ def continuation_eval(
     """Greedy continuations at each milestone scored against ground truth."""
     if gen_len < 1:
         raise ValueError(f"gen_len must be >= 1, got {gen_len}")
-    if isinstance(milestones, MilestoneSpec):
-        ms = milestones.milestones
-    else:
-        ms = MilestoneSpec(tuple(milestones)).milestones
+    ms = _spec(milestones).milestones
     corpus = [np.asarray(s) for s in corpus]
     mode = mode or model.config.mode
 
@@ -341,10 +338,7 @@ class EvalReport:
 
 def run_eval(model, corpus, milestones, modes=("lambda", "vanilla_causal"),
              gen_len: int = 100, with_continuation: bool = True) -> EvalReport:
-    if isinstance(milestones, MilestoneSpec):
-        spec = milestones
-    else:
-        spec = MilestoneSpec(tuple(milestones))
+    spec = _spec(milestones)
     report = EvalReport(milestones=spec.milestones)
     for mode in modes:
         report.nll[mode] = nll_curve(model, corpus, spec, mode=mode)

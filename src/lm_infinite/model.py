@@ -6,13 +6,13 @@ float64 numpy; gradients are hand-written and finite-difference checked.
 
 The layer stack is written once, in ``_forward``. Encode, tracing,
 training and streaming decode differ only in the attention they pass it:
-the blocked kernel with or without a backward stash, the kernel with
-diagnostics captures, or one decode step against a KvCache.
+the blocked kernel (keeping its stash for the backward, or reading
+diagnostics off it), or one decode step against a KvCache.
 
-The same weights serve both attention modes: training runs at
-seq_len = train_len <= n_local, where the lambda mask degenerates to the
-causal mask and every distance sits below the clamp, so the dense vanilla
-path is used for throughput and the resulting model is mode-agnostic.
+Training always runs ``vanilla_causal`` attention, whatever the model's
+mode; it equals lambda attention only when train_len <= min(n_local,
+l_pretrain), where the lambda mask is causal and no distance reaches the
+clamp. Both modes run the same trained weights.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from scipy.special import erf
 from lm_infinite.attention import (
     MODES,
     AttentionConfig,
-    CaptureSpec,
     attend,
     attend_backward,
     attend_single,
-    attend_with_stash,
 )
+from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
     CacheStateError,
@@ -94,10 +93,6 @@ class ToyModelConfig:
         return MaskParams(
             n_global=self.n_global, n_local=self.n_local, l_pretrain=self.l_pretrain
         )
-
-    @property
-    def attention(self) -> AttentionConfig:
-        return self.attention_for(self.mode)
 
     def attention_for(self, mode: str) -> AttentionConfig:
         if self.encoding == "rope":
@@ -226,10 +221,12 @@ def _check_no_nan(x, after, layer, position):
 
 @dataclass
 class ModelTrace:
-    """Diagnostics retained from one forward pass."""
+    """Diagnostics retained from one forward pass, one array per layer."""
 
-    hidden: list  # per layer, if asked for: residual stream AFTER the block
-    attention: list  # per layer: AttentionOutput with requested captures
+    hidden: list  # residual stream after the block, (seq_len, d_model)
+    entropy: list  # attention row entropies, (n_heads, seq_len)
+    last_logits: list  # the last row's masked logits, (n_heads, n)
+    last_distances: list  # the last row's key distances, (n,); clamped in lambda
 
 
 def _forward(model, ids, attn, stash=None, hidden=None, position=0):
@@ -282,32 +279,27 @@ def forward(model: ToyModel, tokens, mode: str | None = None) -> np.ndarray:
     if ids.ndim != 1:
         raise ValueError(f"tokens must be one-dimensional, got shape {ids.shape}")
     att_config = model.config.attention_for(mode or model.config.mode)
-    return _forward(
-        model, ids, lambda i, q, k, v: attend_with_stash(q, k, v, att_config)[0]
-    )
+    return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config)[0])
 
 
-def forward_traced(
-    model: ToyModel,
-    tokens,
-    mode: str | None = None,
-    capture: CaptureSpec | None = None,
-    hidden: bool = False,
-):
-    """Forward plus a ModelTrace carrying per-layer attention captures and
-    (if ``hidden``) residual-stream states; used by the diagnostics module."""
+def forward_traced(model: ToyModel, tokens, mode: str | None = None):
+    """Forward plus a ModelTrace of per-layer row entropies, last-row
+    logits and distances, and residual-stream states; used by the
+    diagnostics module. Each layer's attention stash is dropped once read."""
     ids = _check_ids(tokens, model.config.vocab_size)
     if ids.ndim != 1:
         raise ValueError(f"tracing expects a single sequence, got shape {ids.shape}")
     att_config = model.config.attention_for(mode or model.config.mode)
-    trace = ModelTrace(hidden=[], attention=[])
+    trace = ModelTrace(hidden=[], entropy=[], last_logits=[], last_distances=[])
 
     def attn(i, q, k, v):
-        out = attend(q, k, v, att_config, capture)
-        trace.attention.append(out)
-        return out.values.reshape(q.shape)
+        values, stash = attend(q, k, v, att_config)
+        trace.entropy.append(stash.entropy())
+        trace.last_logits.append(stash.last_logits)
+        trace.last_distances.append(stash.row(-1)[2])
+        return values
 
-    logits = _forward(model, ids, attn, hidden=trace.hidden if hidden else None)
+    logits = _forward(model, ids, attn, hidden=trace.hidden)
     return logits, trace
 
 
@@ -323,7 +315,7 @@ def _loss_and_grads(model, ids, att_config):
     att_stashes = []
 
     def attn(i, q, k, v):
-        a, att_stash = attend_with_stash(q, k, v, att_config)
+        a, att_stash = attend(q, k, v, att_config)
         att_stashes.append(att_stash)
         return a
 
@@ -420,9 +412,10 @@ def train(
     """Adam on mean next-token NLL over windows sampled from the corpus.
 
     Windows are train_len+1 tokens (inputs plus shifted targets); sequences
-    too short to provide one are ignored. Training runs the vanilla path —
-    identical to lambda at train_len <= n_local — because one dense block
-    per batch is what numpy runs fast.
+    too short to provide one are ignored. Training always runs
+    vanilla_causal attention, whatever the model's mode. That equals lambda
+    attention only when train_len <= min(n_local, l_pretrain); longer
+    windows train on the dense causal mask at raw distances.
 
     The model is updated in place and also returned inside TrainResult.
     """
@@ -510,7 +503,7 @@ class DecodeSession:
         def attn(i, q, k, v):
             cache = self.layer_caches[i]
             out = attend_single(q, k, v, cache, self.att_config, position=self.position)
-            return out.values.reshape(q.shape)
+            return out.reshape(q.shape)
 
         logits = _forward(self.model, token, attn, position=self.position)
         self.position += 1
@@ -605,33 +598,13 @@ def load_model(path) -> ToyModel:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    off = 4
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(
-                f"{path}: truncated at byte {len(blob)}: {what} needs bytes "
-                f"[{off}, {off + n})"
-            )
-        off += n
-        return blob[off - n : off]
-
-    def u32(what):
-        return struct.unpack("<I", take(4, what))[0]
-
-    def text(n, what):
-        at = off
-        try:
-            return take(n, what).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: {what} at byte {at} is not UTF-8") from None
-
-    version = u32("version")
+    reader = ByteReader(blob, path, offset=4)
+    (version,) = reader.unpack("<I", "version")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     kwargs = {}
-    for line in text(u32("config length"), "config block").splitlines():
+    (n,) = reader.unpack("<I", "config length")
+    for line in reader.text(n, "config block").splitlines():
         key, _, value = line.partition("=")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"{path}: unknown config key {key!r}")
@@ -650,19 +623,20 @@ def load_model(path) -> ToyModel:
         raise ValueError(f"{path}: bad config: {exc}") from None
     params = {}
     expected = _param_shapes(config)
-    while off < len(blob):
-        at = off
-        name = text(u32("tensor name length"), "tensor name")
+    while not reader.at_end():
+        at = reader.offset
+        (n,) = reader.unpack("<I", "tensor name length")
+        name = reader.text(n, "tensor name")
         if name not in expected or name in params:
             raise ValueError(f"{path}: unexpected tensor {name!r} at byte {at}")
-        ndim = u32(f"tensor {name} rank")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name} shape"))
-        data = take(4 * math.prod(shape), f"tensor {name} data")
+        (ndim,) = reader.unpack("<I", f"tensor {name} rank")
+        shape = reader.unpack(f"<{ndim}I", f"tensor {name} shape")
+        data = reader.take(4 * math.prod(shape), f"tensor {name} data")
         params[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
     missing = set(expected) - set(params)
     if missing:
         raise ValueError(
-            f"{path}: checkpoint ends at byte {off}, missing tensors "
+            f"{path}: checkpoint ends at byte {reader.offset}, missing tensors "
             f"{sorted(missing)[:3]}..."
         )
     for name, shape in expected.items():

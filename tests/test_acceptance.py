@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lm_infinite.attention import AttentionConfig, CaptureSpec, attend
+from lm_infinite.attention import AttentionConfig, attend
 from lm_infinite.corpus import SyntheticLanguage
 from lm_infinite.diagnostics import position_separation, project_states
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
@@ -165,8 +165,8 @@ def test_criterion_04_lambda_entropy_cap():
         seq_len = int(rng.integers(1, 16 * params.n_local + 1))
         scale = float(rng.uniform(0.2, 3.0))
         q, k, v = rng.normal(size=(3, seq_len, 1, 4)) * scale
-        out = attend(q, k, v, att, capture=CaptureSpec(entropy=True))
-        worst = max(worst, float(out.row_entropy.max()))
+        _, stash = attend(q, k, v, att)
+        worst = max(worst, float(stash.entropy().max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= cap + 1e-9 and elapsed < 60
     line = _verdict(4, ok, 60, elapsed,
@@ -355,24 +355,20 @@ def test_criterion_10_diagnostics_directions(trained_setup):
     t0 = time.perf_counter()
     cfg = model.config
     probe = np.asarray(held_out[4][: 8 * cfg.train_len], dtype=np.int64)
-    cap = CaptureSpec(entropy=True, last_row_logits=True)
 
-    _, tr8 = forward_traced(model, probe, mode="vanilla_causal", capture=cap,
-                            hidden=True)
-    _, tr1 = forward_traced(model, probe[: cfg.train_len],
-                            mode="vanilla_causal", capture=cap)
+    _, tr8 = forward_traced(model, probe, mode="vanilla_causal")
+    _, tr1 = forward_traced(model, probe[: cfg.train_len], mode="vanilla_causal")
 
     # (a) last-row |logit| at distances beyond 4x train_len vs within train_len
     near = far = 0.0
-    for att in tr8.attention:
-        dist = att.last_distances
-        near = max(near, float(np.abs(att.last_logits[:, dist < cfg.train_len]).max()))
-        far = max(far, float(np.abs(att.last_logits[:, dist >= 4 * cfg.train_len]).max()))
+    for logits, dist in zip(tr8.last_logits, tr8.last_distances):
+        near = max(near, float(np.abs(logits[:, dist < cfg.train_len]).max()))
+        far = max(far, float(np.abs(logits[:, dist >= 4 * cfg.train_len]).max()))
     a_ok = far > near
 
     # (b) final-row attention entropy (mean over layers and heads) at 8x vs 1x
-    ent_1x = float(np.mean([att.row_entropy[:, -1].mean() for att in tr1.attention]))
-    ent_8x = float(np.mean([att.row_entropy[:, -1].mean() for att in tr8.attention]))
+    ent_1x = float(np.mean([ent[:, -1].mean() for ent in tr1.entropy]))
+    ent_8x = float(np.mean([ent[:, -1].mean() for ent in tr8.entropy]))
     b_ok = ent_8x > ent_1x
 
     # (c) first-16 vs last-16 mean PCA coordinate inside a 128-window of

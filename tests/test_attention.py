@@ -5,14 +5,7 @@ so the O(n) range-based implementation is held against the formula itself."""
 import numpy as np
 import pytest
 
-from lm_infinite.attention import (
-    AttentionConfig,
-    CaptureSpec,
-    attend,
-    attend_backward,
-    attend_single,
-    attend_with_stash,
-)
+from lm_infinite.attention import AttentionConfig, attend, attend_backward, attend_single
 from lm_infinite.encoding import AlibiParams, RopeParams, alibi_logit, rope_logit
 from lm_infinite.errors import CacheStateError, NanDetectedError
 from lm_infinite.kv_cache import KvCache
@@ -77,19 +70,21 @@ def test_matches_dense_oracle(mode, kind, seq_len):
     rng = np.random.default_rng(hash((mode, kind, seq_len)) % 2**32)
     config = make_config(mode, kind)
     q, k, v = random_qkv(rng, seq_len)
-    got = attend(q, k, v, config)
+    got, _ = attend(q, k, v, config)
     want, _ = oracle_attend(q, k, v, config)
-    assert np.allclose(got.values, want, atol=1e-5)
+    assert got.shape == q.shape
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
 
 
 def test_singleton_sequence():
     config = make_config("lambda", "rope")
     rng = np.random.default_rng(1)
     q, k, v = random_qkv(rng, 1)
-    out = attend(q, k, v, config, CaptureSpec(weights=True))
-    assert np.allclose(out.values[0], v[0].reshape(-1), atol=1e-12)
-    assert out.weights[0].shape == (HEADS, 1)
-    assert np.allclose(out.weights[0], 1.0)
+    out, stash = attend(q, k, v, config)
+    assert np.allclose(out[0], v[0], atol=1e-12)
+    _, weights, _ = stash.row(0)
+    assert weights.shape == (HEADS, 1)
+    assert np.allclose(weights, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
@@ -99,9 +94,9 @@ def test_short_sequence_lambda_equals_vanilla(kind):
     rng = np.random.default_rng(2)
     for seq_len in (1, 3, 5):
         q, k, v = random_qkv(rng, seq_len)
-        a = attend(q, k, v, make_config("lambda", kind))
-        b = attend(q, k, v, make_config("vanilla_causal", kind))
-        assert np.allclose(a.values, b.values, atol=1e-5)
+        a, _ = attend(q, k, v, make_config("lambda", kind))
+        b, _ = attend(q, k, v, make_config("vanilla_causal", kind))
+        assert np.allclose(a, b, atol=1e-5)
 
 
 def test_uniform_weights_on_worked_example():
@@ -112,12 +107,13 @@ def test_uniform_weights_on_worked_example():
     q = np.zeros((5, HEADS, HEAD_DIM))
     k = rng.normal(size=(5, HEADS, HEAD_DIM))
     v = rng.normal(size=(5, HEADS, HEAD_DIM))
-    out = attend(q, k, v, config, CaptureSpec(weights=True))
+    _, stash = attend(q, k, v, config)
     sizes = [1, 2, 3, 3, 3]
     for i, size in enumerate(sizes):
-        assert out.weights[i].shape == (HEADS, size)
-        assert np.allclose(out.weights[i], 1.0 / size, atol=1e-12)
-    assert out.key_indices[3].tolist() == [0, 2, 3]
+        _, weights, _ = stash.row(i)
+        assert weights.shape == (HEADS, size)
+        assert np.allclose(weights, 1.0 / size, atol=1e-12)
+    assert stash.row(3)[0].tolist() == [0, 2, 3]
 
 
 @pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
@@ -125,15 +121,16 @@ def test_weights_row_stochastic_and_on_mask(mode):
     config = make_config(mode, "rope")
     rng = np.random.default_rng(4)
     q, k, v = random_qkv(rng, 14)
-    out = attend(q, k, v, config, CaptureSpec(weights=True))
+    _, stash = attend(q, k, v, config)
     mask = build_mask(14, config.mask_params)
     for i in range(14):
-        assert np.allclose(out.weights[i].sum(axis=1), 1.0, atol=1e-5)
-        assert np.all(out.weights[i] >= 0)
+        keys, weights, _ = stash.row(i)
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-5)
+        assert np.all(weights >= 0)
         if mode == "lambda":
-            assert out.key_indices[i].tolist() == mask.row_indices(i).tolist()
+            assert keys.tolist() == mask.row_indices(i).tolist()
         else:
-            assert out.key_indices[i].tolist() == list(range(i + 1))
+            assert keys.tolist() == list(range(i + 1))
 
 
 def test_head_permutation_equivariance():
@@ -152,10 +149,8 @@ def test_head_permutation_equivariance():
             )
         else:
             config2 = config
-        base = attend(q, k, v, config).values.reshape(12, HEADS, HEAD_DIM)
-        swapped = attend(q[:, perm], k[:, perm], v[:, perm], config2).values.reshape(
-            12, HEADS, HEAD_DIM
-        )
+        base, _ = attend(q, k, v, config)
+        swapped, _ = attend(q[:, perm], k[:, perm], v[:, perm], config2)
         assert np.allclose(swapped, base[:, perm], atol=1e-12)
 
 
@@ -168,10 +163,10 @@ def test_stable_at_huge_logits(mode):
     q *= 100.0
     k *= 100.0
     with np.errstate(over="raise", invalid="raise"):
-        out = attend(q, k, v, config, CaptureSpec(weights=True))
-    assert np.all(np.isfinite(out.values))
-    for w in out.weights:
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-5)
+        out, stash = attend(q, k, v, config)
+    assert np.all(np.isfinite(out))
+    for i in range(10):
+        assert np.allclose(stash.row(i)[1].sum(axis=1), 1.0, atol=1e-5)
 
 
 def test_nan_input_names_row():
@@ -222,11 +217,11 @@ def test_backward_matches_finite_differences(mode, kind):
     q, k, v = random_qkv(rng, seq_len)
     ct = rng.normal(size=(seq_len, HEADS, HEAD_DIM))
 
-    out, stash = attend_with_stash(q, k, v, config)
+    out, stash = attend(q, k, v, config)
     dq, dk, dv = attend_backward(stash, ct)
 
     def loss():
-        vals, _ = attend_with_stash(q, k, v, config)
+        vals, _ = attend(q, k, v, config)
         return float(np.sum(vals * ct))
 
     for analytic, x in ((dq, q), (dk, k), (dv, v)):
@@ -242,10 +237,10 @@ def test_batched_matches_per_sequence():
     d_out = rng.normal(size=shape)
     for mode in ("lambda", "vanilla_causal"):
         config = make_config(mode, "rope", n_global=1, n_local=4, l_pretrain=6)
-        out, stash = attend_with_stash(q, k, v, config)
+        out, stash = attend(q, k, v, config)
         dq, dk, dv = attend_backward(stash, d_out)
         for b in range(batch):
-            ob, sb = attend_with_stash(q[b], k[b], v[b], config)
+            ob, sb = attend(q[b], k[b], v[b], config)
             assert np.allclose(out[b], ob, atol=1e-12)
             dqb, dkb, dvb = attend_backward(sb, d_out[b])
             assert np.allclose(dq[b], dqb, atol=1e-12)
@@ -262,14 +257,13 @@ def test_streaming_step_equals_full_row(kind):
     seq_len = 4 * config.mask_params.n_local
     rng = np.random.default_rng(11)
     q, k, v = random_qkv(rng, seq_len)
-    full = attend(q, k, v, config, CaptureSpec(weights=True))
+    full, stash = attend(q, k, v, config)
 
     cache = KvCache(config.mask_params)
     for i in range(seq_len):
         step = attend_single(q[i], k[i], v[i], cache, config, position=i)
-        assert np.allclose(step.values, full.values[i], atol=1e-10), i
-        assert step.positions.tolist() == full.key_indices[i].tolist()
-        assert np.allclose(step.weights, full.weights[i], atol=1e-10)
+        assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
+        assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()
 
 
 def test_attend_single_first_step_self_only():
@@ -278,9 +272,8 @@ def test_attend_single_first_step_self_only():
     rng = np.random.default_rng(12)
     q, k, v = (rng.normal(size=(HEADS, HEAD_DIM)) for _ in range(3))
     step = attend_single(q, k, v, cache, config, position=0)
-    assert np.allclose(step.values, v.reshape(-1), atol=1e-12)
-    assert step.positions.tolist() == [0]
-    assert step.distances.tolist() == [0]
+    assert np.allclose(step, v.reshape(-1), atol=1e-12)
+    assert cache.positions.tolist() == [0]
 
 
 def test_attend_single_contract_errors():
@@ -307,14 +300,12 @@ def test_vanilla_streaming_step_equals_full_row(kind):
     seq_len = 40
     rng = np.random.default_rng(15)
     q, k, v = random_qkv(rng, seq_len)
-    full = attend(q, k, v, config, CaptureSpec(weights=True))
+    full, _ = attend(q, k, v, config)
     cache = KvCache(None)
     for i in range(seq_len):
         step = attend_single(q[i], k[i], v[i], cache, config, position=i)
-        assert np.allclose(step.values, full.values[i], atol=1e-10), i
-        assert step.positions.tolist() == list(range(i + 1))
-        assert step.distances.tolist() == list(range(i, -1, -1))
-        assert np.allclose(step.weights, full.weights[i], atol=1e-10)
+        assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
+        assert np.sort(cache.positions).tolist() == list(range(i + 1))
     assert len(cache) == seq_len
 
 
@@ -323,19 +314,17 @@ def test_entropy_and_last_logit_capture():
     rng = np.random.default_rng(14)
     seq_len = 9
     q, k, v = random_qkv(rng, seq_len)
-    out = attend(
-        np.zeros_like(q), k, v, config, CaptureSpec(entropy=True, last_row_logits=True)
-    )
+    _, stash = attend(np.zeros_like(q), k, v, config)
     # Zero queries: uniform rows, entropy = ln(row size); row 8 has 3 keys.
-    assert out.row_entropy.shape == (HEADS, seq_len)
-    assert np.allclose(out.row_entropy[:, 8], np.log(3.0), atol=1e-12)
-    assert out.last_indices.tolist() == [0, 7, 8]
-    assert out.last_distances.tolist() == [4, 1, 0]  # 8-0 clamps to l_pretrain=4
-    assert out.last_logits.shape == (HEADS, 3)
-    vanilla = attend(
-        q, k, v, make_config("vanilla_causal", "rope"), CaptureSpec(last_row_logits=True)
-    )
-    assert vanilla.last_distances.tolist() == list(range(seq_len - 1, -1, -1))
+    entropy = stash.entropy()
+    assert entropy.shape == (HEADS, seq_len)
+    assert np.allclose(entropy[:, 8], np.log(3.0), atol=1e-12)
+    keys, _, dist = stash.row(-1)
+    assert keys.tolist() == [0, 7, 8]
+    assert dist.tolist() == [4, 1, 0]  # 8-0 clamps to l_pretrain=4
+    assert stash.last_logits.shape == (HEADS, 3)
+    _, vanilla = attend(q, k, v, make_config("vanilla_causal", "rope"))
+    assert vanilla.row(-1)[2].tolist() == list(range(seq_len - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +357,22 @@ def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
     config = make_config(mode, kind, *branches)
     seq_len = 19  # four full blocks of 4 plus a partial one
     q, k, v = random_qkv(rng, seq_len)
-    got = attend(
-        q, k, v, config, CaptureSpec(weights=True, entropy=True, last_row_logits=True)
-    )
+    got, stash = attend(q, k, v, config)
     want, w = oracle_attend(q, k, v, config)
-    assert np.allclose(got.values, want, atol=1e-5)
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
+    entropy = stash.entropy()
     for i in range(seq_len):
         cols = np.flatnonzero(w[0, i] > 0)
-        assert got.key_indices[i].tolist() == cols.tolist()
-        assert np.allclose(got.weights[i], w[:, i, cols], atol=1e-6)
+        keys, weights, dist = stash.row(i)
+        assert keys.tolist() == cols.tolist()
+        assert np.allclose(weights, w[:, i, cols], atol=1e-6)
         ent = -(w[:, i, cols] * np.log(w[:, i, cols])).sum(axis=-1)
-        assert np.allclose(got.row_entropy[:, i], ent, atol=1e-6)
-    assert got.last_indices.tolist() == got.key_indices[-1].tolist()
-    d = seq_len - 1 - got.last_indices
-    if mode == "lambda":
-        d = np.minimum(d, config.mask_params.l_pretrain)
-    assert got.last_distances.tolist() == d.tolist()
+        assert np.allclose(entropy[:, i], ent, atol=1e-6)
+        d = i - keys
+        if mode == "lambda":
+            d = np.minimum(d, config.mask_params.l_pretrain)
+        assert dist.tolist() == d.tolist()
+    assert stash.last_logits.shape == (HEADS, len(stash.row(-1)[0]))
 
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
@@ -399,7 +388,7 @@ def test_blocks_equal_one_block(monkeypatch, kind, branches):
     results = []
     for block in (1, 3, 8, 64):
         monkeypatch.setattr(attention, "BLOCK", block)
-        out, stash = attend_with_stash(q, k, v, config)
+        out, stash = attend(q, k, v, config)
         results.append((out, *attend_backward(stash, d_out)))
     for other in results[1:]:
         for a, b in zip(results[0], other):
@@ -419,11 +408,11 @@ def test_blocks_backward_matches_finite_differences(monkeypatch, mode, kind):
     q, k, v = random_qkv(rng, seq_len)
     ct = rng.normal(size=(seq_len, HEADS, HEAD_DIM))
 
-    out, stash = attend_with_stash(q, k, v, config)
+    out, stash = attend(q, k, v, config)
     dq, dk, dv = attend_backward(stash, ct)
 
     def loss():
-        vals, _ = attend_with_stash(q, k, v, config)
+        vals, _ = attend(q, k, v, config)
         return float(np.sum(vals * ct))
 
     for analytic, x in ((dq, q), (dk, k), (dv, v)):
@@ -439,13 +428,35 @@ def test_blocks_batched_matches_per_sequence(small_blocks):
     for kind in ("rope", "alibi"):
         for mode in ("lambda", "vanilla_causal"):
             config = make_config(mode, kind, n_global=2, n_local=3, l_pretrain=5)
-            out, stash = attend_with_stash(q, k, v, config)
+            out, stash = attend(q, k, v, config)
             grads = attend_backward(stash, d_out)
             for b in range(shape[0]):
-                ob, sb = attend_with_stash(q[b], k[b], v[b], config)
+                ob, sb = attend(q[b], k[b], v[b], config)
                 assert np.allclose(out[b], ob, atol=1e-12)
                 for g, gb in zip(grads, attend_backward(sb, d_out[b])):
                     assert np.allclose(g[b], gb, atol=1e-12)
+
+
+def test_batched_stash_readers_match_per_sequence(small_blocks):
+    # Entropies, single rows and last-row logits of a batched call are the
+    # per-sequence ones, stacked on the batch axis.
+    rng = np.random.default_rng(20)
+    shape = (3, 14, HEADS, HEAD_DIM)
+    q, k, v = rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
+    for kind in ("rope", "alibi"):
+        for mode in ("lambda", "vanilla_causal"):
+            config = make_config(mode, kind, n_global=2, n_local=3, l_pretrain=5)
+            _, stash = attend(q, k, v, config)
+            for b in range(shape[0]):
+                _, sb = attend(q[b], k[b], v[b], config)
+                assert np.allclose(stash.entropy()[b], sb.entropy(), atol=1e-12)
+                assert np.allclose(stash.last_logits[b], sb.last_logits, atol=1e-12)
+                for i in (0, 5, -1):
+                    keys, weights, dist = stash.row(i)
+                    keys_b, weights_b, dist_b = sb.row(i)
+                    assert keys.tolist() == keys_b.tolist()
+                    assert dist.tolist() == dist_b.tolist()
+                    assert np.allclose(weights[b], weights_b, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
@@ -455,11 +466,9 @@ def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
     config = make_config("lambda", kind, n_global=3, n_local=3, l_pretrain=4)
     rng = np.random.default_rng(19)
     q, k, v = random_qkv(rng, 17)
-    full = attend(q, k, v, config, CaptureSpec(weights=True))
+    full, stash = attend(q, k, v, config)
     cache = KvCache(config.mask_params)
     for i in range(17):
         step = attend_single(q[i], k[i], v[i], cache, config, position=i)
-        assert np.allclose(step.values, full.values[i], atol=1e-12)
-        assert np.allclose(step.weights, full.weights[i], atol=1e-12)
-        assert step.positions.tolist() == full.key_indices[i].tolist()
-        assert step.distances.max() <= 4
+        assert np.allclose(step, full[i].reshape(-1), atol=1e-12)
+        assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()

@@ -90,6 +90,16 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [["eval", "--corpus", "c.txt"],
+                                  ["generate", "--prompt", "1"]])
+def test_seed_flag_only_where_read(args, capsys):
+    # eval and generate draw no random numbers, so they take no --seed.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--model", "m.lmtm", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["generate", "--n-new", "3"])  # no --model/--prompt

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lm_infinite import cli
 from lm_infinite.corpus import SyntheticLanguage
 from lm_infinite.evaluation import (
     BenchResult,
@@ -44,7 +45,9 @@ def tiny_config(**over):
 
 
 def test_default_milestones_scale_with_train_len():
-    assert MilestoneSpec.default_for(128).milestones == (128, 256, 512, 1024, 2048)
+    default = cli._DEFAULTS["eval"]["milestones"]
+    assert parse_milestones(default, 128).milestones == (128, 256, 512, 1024, 2048)
+    assert parse_milestones(default, 16).milestones == (16, 32, 64, 128, 256)
 
 
 def test_milestones_must_increase():

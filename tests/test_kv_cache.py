@@ -4,7 +4,7 @@ read through the cache's array views."""
 import numpy as np
 import pytest
 
-from lm_infinite.attention import AttentionConfig, attend_single
+from lm_infinite.attention import AttentionConfig, attend, attend_single
 from lm_infinite.encoding import RopeParams
 from lm_infinite.errors import CacheStateError
 from lm_infinite.kv_cache import KvCache
@@ -93,11 +93,12 @@ def test_query_inside_pinned_prefix_sees_everything_once():
     config = _tiny_attention(params)
     cache = KvCache(params)
     rng = np.random.default_rng(0)
-    for t in range(5):
-        q, k, v = rng.normal(size=(3, 2, 4))
+    qkv = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
+    for t, (q, k, v) in enumerate(qkv):
         step = attend_single(q, k, v, cache, config, position=t)
-    assert step.positions.tolist() == [0, 1, 2, 3, 4]
-    assert step.distances.tolist() == [4, 3, 2, 1, 0]
+    assert np.sort(cache.positions).tolist() == [0, 1, 2, 3, 4]
+    full, _ = attend(*np.stack(qkv, axis=1), config)
+    assert np.allclose(step, full[4].reshape(-1), atol=1e-10)
 
 
 def test_memory_bound_over_long_fuzz():

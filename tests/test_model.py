@@ -178,13 +178,13 @@ def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
     import lm_infinite.model as model_module
 
     rows = []
-    real = model_module.attend_with_stash
+    real = model_module.attend
 
     def recording(q, k, v, config):
         rows.append(q.shape[-3])
         return real(q, k, v, config)
 
-    monkeypatch.setattr(model_module, "attend_with_stash", recording)
+    monkeypatch.setattr(model_module, "attend", recording)
     model = init(tiny_config())
     loss_and_grads(model, (np.arange(2 * 129).reshape(2, 129) * 7) % 31, mode=mode)
     assert rows == [128] * model.config.n_layers
