@@ -1,117 +1,128 @@
 """Command-line entry point: mask inspection, training, generation,
 diagnostics, evaluation, benchmarks.
 
+Each setting of a subcommand is declared once, as an ``Option``: its name
+(the ``--flag`` and the config-file key), type, choices and default. The
+model settings of ``train`` are derived from ``ToyModelConfig``'s fields.
+argparse and the ``--config`` reader both parse through that declaration,
+so a config-file value is accepted exactly when the same text is accepted
+by its flag, and becomes the same value.
+
 Configuration precedence: explicit flags > --config file (flat key=value
 lines) > built-in defaults. Subcommands that write artifacts echo the
 fully-resolved settings to effective_config.txt in the output directory.
-Exit codes: 0 success, 1 runtime/I-O failure (message names the path),
-2 usage errors (argparse).
-
-The LMINF_THREADS environment variable caps numerical parallelism; it is
-applied before numpy is first imported, which is why all heavy imports in
-this module are deferred into the subcommand bodies.
+Exit codes: 0 success, 1 runtime/I-O failure (the message names the path,
+and the line for a config file), 2 usage errors (argparse).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from lm_infinite.corpus import SyntheticLanguage, load_corpus, save_corpus
+from lm_infinite.diagnostics import (
+    run_diagnostics,
+    write_entropy_csv,
+    write_logits_csv,
+    write_pca_csv,
+)
+from lm_infinite.evaluation import bench, parse_milestones, run_eval, write_eval_csv
+from lm_infinite.masking import MaskParams, build_mask
+from lm_infinite.model import (
+    ENCODINGS,
+    DecodeSession,
+    ToyModel,
+    ToyModelConfig,
+    generate,
+    init,
+    load_model,
+    save_model,
+    train,
+)
 
 _MODE_NAMES = {"vanilla": "vanilla_causal", "lambda": "lambda"}
 
 
-def _setup_threads() -> None:
-    cap = os.environ.get("LMINF_THREADS")
-    if not cap:
-        return  # default: whatever the BLAS picks (hardware count)
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
-
-
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Settings
 # ---------------------------------------------------------------------------
 
-_MODEL_DEFAULTS = {
-    "vocab_size": 256,
-    "d_model": 128,
-    "n_layers": 4,
-    "n_heads": 4,
-    "train_len": 128,
-    "n_global": 16,
-    "n_local": 128,
-    "l_pretrain": 128,
-    "encoding": "rope",
-    "rope_base": 10000.0,
-    "mode": "lambda",
-}
 
-_DEFAULTS = {
-    "mask": {"seq_len": None, "n_global": 1, "n_local": 2, "format": "ranges"},
-    "train": {
-        **_MODEL_DEFAULTS,
-        "corpus": None,
-        "steps": 600,
-        "lr": 1e-3,
-        "batch": 16,
-        "seed": 0,
-        "out": "runs/train",
-        "synthetic_sequences": 24,
-        "synthetic_length": None,
-    },
-    "generate": {
-        "model": None,
-        "prompt": None,
-        "n_new": 100,
-        "mode": None,
-    },
-    "diag": {
-        "model": None,
-        "corpus": None,
-        "layer": 0,
-        "head": 0,
-        "mode": None,
-        "probe_len": None,
-        "out": "runs/diag",
-        "seed": 0,
-    },
-    "eval": {
-        "model": None,
-        "corpus": None,
-        "mode": "both",
-        "milestones": "1x,2x,4x,8x,16x",
-        "gen_len": 100,
-        "out": "runs/eval",
-        "n_global": None,
-        "n_local": None,
-        "l_pretrain": None,
-        "skip_continuation": False,
-    },
-    "bench": {
-        "model": None,
-        "seq_len": 512,
-        "mode": "lambda",
-        "repeats": 5,
-        "decode_tokens": 32,
-        "out": None,
-        "seed": 0,
-    },
-}
+def _switch(text: str) -> bool:
+    """Config-file value of an on/off flag (the flag itself takes no value)."""
+    low = text.lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+@dataclass(frozen=True)
+class Option:
+    """One setting: ``--name`` on the command line, ``name=`` in a config
+    file, both converted by ``type`` and checked against ``choices``."""
+
+    name: str
+    type: Callable = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        help_text = self.help
+        if self.default is not None:
+            help_text = f"{help_text or ''} (default {self.default})".lstrip()
+        kwargs = dict(dest=self.name, required=self.required, help=help_text)
+        if self.type is _switch:
+            kwargs.update(action="store_const", const=True)
+        else:
+            kwargs.update(type=self.type, choices=self.choices)
+        parser.add_argument("--" + self.name.replace("_", "-"), **kwargs)
+
+    def parse(self, text: str):
+        """Convert config-file text as argparse converts the flag's."""
+        value = self.type(text)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(
+                f"invalid choice {value!r} (choose from {', '.join(self.choices)})"
+            )
+        return value
+
+
+def _options(*options: Option) -> dict:
+    return {opt.name: opt for opt in options}
+
+
+_MODEL = _options(*(
+    Option(f.name, type(f.default), f.default,
+           choices={"encoding": ENCODINGS, "mode": tuple(_MODE_NAMES)}.get(f.name),
+           help="master seed" if f.name == "seed" else None)
+    for f in fields(ToyModelConfig)
+))
+_MODE = Option("mode", choices=tuple(_MODE_NAMES))
+
+
+def _read_config_file(path: str, options: dict) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from None
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}: line {line}: not UTF-8 (byte {exc.start})"
+        ) from None
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -119,51 +130,23 @@ def _read_config_file(path: str) -> dict:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in options:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = options[key].parse(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
     return values
 
 
-def _coerce(value, template):
-    if isinstance(value, str):
-        if isinstance(template, bool):
-            low = value.lower()
-            if low in ("1", "true", "yes"):
-                return True
-            if low in ("0", "false", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if isinstance(template, int):
-            return int(value)
-        if isinstance(template, float):
-            return float(value)
-    return value
-
-
-def _resolve(sub: str, args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, with config-file strings coerced."""
-    defaults = _DEFAULTS[sub]
-    from_file = {}
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        unknown = set(raw) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"{args.config}: unknown keys for {sub}: {', '.join(sorted(unknown))}"
-            )
-        template = {k: defaults[k] for k in raw}
-        from_file = {
-            k: _coerce(v, template[k]) if template[k] is not None else v
-            for k, v in raw.items()
-        }
+def _resolve(options: dict, args: argparse.Namespace) -> dict:
+    """flags > config file > defaults."""
+    from_file = _read_config_file(args.config, options) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
+    for name, opt in options.items():
+        value = getattr(args, name)
+        resolved[name] = from_file.get(name, opt.default) if value is None else value
     return resolved
 
 
@@ -174,97 +157,7 @@ def _write_effective_config(resolved: dict, out_dir: Path) -> None:
 
 
 def _internal_mode(name: str | None):
-    if name is None:
-        return None
-    if name in _MODE_NAMES:
-        return _MODE_NAMES[name]
-    if name in _MODE_NAMES.values() or name == "both":
-        return name
-    raise ValueError(f"mode must be 'vanilla' or 'lambda', got {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lm-infinite",
-        description="Length-generalization toolkit: lambda-masked attention, "
-        "bounded KV cache, toy transformer, diagnostics and evaluation.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, seed):
-        p.add_argument("--config", help="flat key=value config file")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed (default 0)")
-
-    p = subs.add_parser("mask", help="print a lambda attention mask")
-    p.add_argument("--seq-len", dest="seq_len", type=int, required=True)
-    p.add_argument("--n-global", dest="n_global", type=int)
-    p.add_argument("--n-local", dest="n_local", type=int)
-    p.add_argument("--format", choices=("ranges", "dense"))
-    add_common(p, seed=False)
-
-    p = subs.add_parser("train", help="train the toy model")
-    add_common(p, seed=True)
-    p.add_argument("--corpus", help="token corpus (text or LMTS); synthetic if omitted")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--synthetic-sequences", dest="synthetic_sequences", type=int)
-    p.add_argument("--synthetic-length", dest="synthetic_length", type=int)
-    for key in ("vocab-size", "d-model", "n-layers", "n-heads", "train-len",
-                "n-global", "n-local", "l-pretrain"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int)
-    p.add_argument("--encoding", choices=("rope", "alibi"))
-    p.add_argument("--rope-base", dest="rope_base", type=float)
-    p.add_argument("--mode", choices=("vanilla", "lambda"))
-
-    p = subs.add_parser("generate", help="greedy continuation from a prompt")
-    add_common(p, seed=False)
-    p.add_argument("--model", required=True, help="checkpoint path (.lmtm)")
-    p.add_argument("--prompt", required=True,
-                   help="space-separated token ids, or @FILE to read them")
-    p.add_argument("--n-new", dest="n_new", type=int)
-    p.add_argument("--mode", choices=("vanilla", "lambda"))
-
-    p = subs.add_parser("diag", help="OOD diagnostics; writes three CSVs")
-    add_common(p, seed=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", help="probe tokens come from its first sequence")
-    p.add_argument("--layer", type=int)
-    p.add_argument("--head", type=int)
-    p.add_argument("--mode", choices=("vanilla", "lambda"))
-    p.add_argument("--probe-len", dest="probe_len", type=int)
-    p.add_argument("--out")
-
-    p = subs.add_parser("eval", help="NLL/perplexity and continuation scores")
-    add_common(p, seed=False)
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("vanilla", "lambda", "both"))
-    p.add_argument("--milestones", help='e.g. "1x,2x,8x" or "128,512"')
-    p.add_argument("--gen-len", dest="gen_len", type=int)
-    p.add_argument("--out")
-    p.add_argument("--skip-continuation", dest="skip_continuation",
-                   action="store_const", const=True)
-    for key in ("n-global", "n-local", "l-pretrain"):
-        p.add_argument(f"--{key}", dest=key.replace("-", "_"), type=int,
-                       help="override the checkpoint's mask parameter")
-
-    p = subs.add_parser("bench", help="encode/decode wall-clock timings")
-    add_common(p, seed=True)
-    p.add_argument("--model", help="checkpoint; a fresh default model if omitted")
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--mode", choices=("vanilla", "lambda"))
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--decode-tokens", dest="decode_tokens", type=int)
-    p.add_argument("--out")
-    return parser
+    return _MODE_NAMES.get(name, name)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_mask(args) -> int:
-    cfg = _resolve("mask", args)
-    from lm_infinite.masking import MaskParams, build_mask
-
+def _cmd_mask(cfg) -> int:
     params = MaskParams(
         n_global=cfg["n_global"],
         n_local=cfg["n_local"],
@@ -294,39 +184,20 @@ def _cmd_mask(args) -> int:
 
 
 def _load_model(path):
-    from lm_infinite.model import load_model
-
     if not Path(path).exists():
         raise OSError(f"model checkpoint not found: {path}")
     return load_model(path)
 
 
 def _load_corpus(path):
-    from lm_infinite.corpus import load_corpus
-
     if not Path(path).exists():
         raise OSError(f"corpus file not found: {path}")
     return load_corpus(path)
 
 
-def _cmd_train(args) -> int:
-    cfg = _resolve("train", args)
-    from lm_infinite.corpus import SyntheticLanguage, save_corpus
-    from lm_infinite.model import ToyModelConfig, init, save_model, train
-
+def _cmd_train(cfg) -> int:
     model_config = ToyModelConfig(
-        vocab_size=cfg["vocab_size"],
-        d_model=cfg["d_model"],
-        n_layers=cfg["n_layers"],
-        n_heads=cfg["n_heads"],
-        train_len=cfg["train_len"],
-        n_global=cfg["n_global"],
-        n_local=cfg["n_local"],
-        l_pretrain=cfg["l_pretrain"],
-        encoding=cfg["encoding"],
-        rope_base=cfg["rope_base"],
-        mode=_internal_mode(cfg["mode"]),
-        seed=cfg["seed"],
+        **{**{name: cfg[name] for name in _MODEL}, "mode": _internal_mode(cfg["mode"])}
     )
     out = Path(cfg["out"])
     _write_effective_config(cfg, out)
@@ -355,40 +226,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
-    cfg = _resolve("generate", args)
-    import numpy as np
-
-    from lm_infinite.model import DecodeSession, generate
-
+def _cmd_generate(cfg) -> int:
     model = _load_model(cfg["model"])
-    raw = cfg["prompt"]
+    raw, source = cfg["prompt"], "--prompt"
     if raw.startswith("@"):
-        path = raw[1:]
-        if not Path(path).exists():
-            raise OSError(f"prompt file not found: {path}")
-        raw = Path(path).read_text(encoding="utf-8")
-    prompt = np.asarray([int(t) for t in raw.split()], dtype=np.int64)
-    if prompt.size == 0:
+        source = raw[1:]
+        if not Path(source).exists():
+            raise OSError(f"prompt file not found: {source}")
+        try:
+            raw = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{source}: prompt file is not UTF-8 text") from None
+    ids = []
+    for tok in raw.split():
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{source}: bad token id {tok!r}") from None
+    if not ids:
         raise ValueError("prompt must contain at least one token id")
     mode = _internal_mode(cfg["mode"]) or model.config.mode
     session = DecodeSession(model, mode)
-    out = generate(model, prompt, cfg["n_new"], mode=mode, cache=session)
+    out = generate(model, np.asarray(ids, dtype=np.int64), cfg["n_new"],
+                   mode=mode, cache=session)
     print(" ".join(str(int(t)) for t in out))
     return 0
 
 
-def _cmd_diag(args) -> int:
-    cfg = _resolve("diag", args)
-    import numpy as np
-
-    from lm_infinite.diagnostics import (
-        run_diagnostics,
-        write_entropy_csv,
-        write_logits_csv,
-        write_pca_csv,
-    )
-
+def _cmd_diag(cfg) -> int:
     model = _load_model(cfg["model"])
     if cfg["corpus"]:
         corpus = _load_corpus(cfg["corpus"])
@@ -396,11 +261,11 @@ def _cmd_diag(args) -> int:
             raise ValueError(f"{cfg['corpus']}: empty corpus, nothing to probe")
         probe = corpus[0]
     else:
-        from lm_infinite.corpus import SyntheticLanguage
-
         lang = SyntheticLanguage(vocab_size=model.config.vocab_size, seed=cfg["seed"])
         probe = lang.sample(1, 8 * model.config.train_len)[0]
-    if cfg["probe_len"]:
+    if cfg["probe_len"] is not None:
+        if cfg["probe_len"] < 1:
+            raise ValueError(f"probe_len must be >= 1, got {cfg['probe_len']}")
         probe = probe[: cfg["probe_len"]]
     probe = np.asarray(probe)
 
@@ -418,13 +283,7 @@ def _cmd_diag(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _resolve("eval", args)
-    from dataclasses import replace
-
-    from lm_infinite.evaluation import parse_milestones, run_eval, write_eval_csv
-    from lm_infinite.model import ToyModel
-
+def _cmd_eval(cfg) -> int:
     model = _load_model(cfg["model"])
     overrides = {
         k: cfg[k] for k in ("n_global", "n_local", "l_pretrain") if cfg[k] is not None
@@ -451,11 +310,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = _resolve("bench", args)
-    from lm_infinite.evaluation import bench
-    from lm_infinite.model import ToyModelConfig, init
-
+def _cmd_bench(cfg) -> int:
     if cfg["model"]:
         model = _load_model(cfg["model"])
     else:
@@ -480,28 +335,93 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "mask": _cmd_mask,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "diag": _cmd_diag,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
+@dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    run: Callable[[dict], int]
+    options: dict
+
+
+_SUBCOMMANDS = {
+    "mask": _Subcommand("print a lambda attention mask", _cmd_mask, _options(
+        Option("seq_len", int, required=True),
+        Option("n_global", int, 1),
+        Option("n_local", int, 2),
+        Option("format", default="ranges", choices=("ranges", "dense")),
+    )),
+    "train": _Subcommand("train the toy model", _cmd_train, _options(
+        Option("corpus", help="token corpus (text or LMTS); synthetic if omitted"),
+        Option("steps", int, 600),
+        Option("lr", float, 1e-3),
+        Option("batch", int, 16),
+        Option("out", default="runs/train", help="output directory"),
+        Option("synthetic_sequences", int, 24),
+        Option("synthetic_length", int),
+        *_MODEL.values(),
+    )),
+    "generate": _Subcommand("greedy continuation from a prompt", _cmd_generate, _options(
+        Option("model", required=True, help="checkpoint path (.lmtm)"),
+        Option("prompt", required=True,
+               help="space-separated token ids, or @FILE to read them"),
+        Option("n_new", int, 100),
+        _MODE,
+    )),
+    "diag": _Subcommand("OOD diagnostics; writes three CSVs", _cmd_diag, _options(
+        _MODEL["seed"],
+        Option("model", required=True),
+        Option("corpus", help="probe tokens come from its first sequence"),
+        Option("layer", int, 0),
+        Option("head", int, 0),
+        _MODE,
+        Option("probe_len", int),
+        Option("out", default="runs/diag"),
+    )),
+    "eval": _Subcommand("NLL/perplexity and continuation scores", _cmd_eval, _options(
+        Option("model", required=True),
+        Option("corpus", required=True),
+        replace(_MODE, default="both", choices=(*_MODE_NAMES, "both")),
+        Option("milestones", default="1x,2x,4x,8x,16x",
+               help='e.g. "1x,2x,8x" or "128,512"'),
+        Option("gen_len", int, 100),
+        Option("out", default="runs/eval"),
+        Option("skip_continuation", _switch, False),
+        *(replace(_MODEL[name], default=None,
+                  help="override the checkpoint's mask parameter")
+          for name in ("n_global", "n_local", "l_pretrain")),
+    )),
+    "bench": _Subcommand("encode/decode wall-clock timings", _cmd_bench, _options(
+        _MODEL["seed"],
+        Option("model", help="checkpoint; a fresh default model if omitted"),
+        Option("seq_len", int, 512),
+        replace(_MODE, default="lambda"),
+        Option("repeats", int, 5),
+        Option("decode_tokens", int, 32),
+        Option("out"),
+    )),
 }
 
 
-def main(argv=None) -> int:
-    _setup_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from lm_infinite.errors import CorpusFormatError  # light import
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="lm-infinite",
+        description="Length-generalization toolkit: lambda-masked attention, "
+        "bounded KV cache, toy transformer, diagnostics and evaluation.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, command in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key=value config file")
+        for opt in command.options.values():
+            opt.add_to(p)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    command = _SUBCOMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except (OSError, CorpusFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return command.run(_resolve(command.options, args))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

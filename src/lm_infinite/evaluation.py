@@ -58,10 +58,16 @@ def parse_milestones(text: str, train_len: int) -> MilestoneSpec:
         raw = raw.strip()
         if not raw:
             continue
-        if raw.endswith("x"):
-            items.append(int(raw[:-1]) * train_len)
-        else:
-            items.append(int(raw))
+        try:
+            if raw.endswith("x"):
+                items.append(int(raw[:-1]) * train_len)
+            else:
+                items.append(int(raw))
+        except ValueError:
+            raise ValueError(
+                f"bad milestone {raw!r} in {text!r}: expected a length like 128 "
+                f"or a multiple of train_len like 2x"
+            ) from None
     return MilestoneSpec(tuple(items)).validate_for(train_len)
 
 
@@ -293,6 +299,8 @@ def bench(model, seq_len: int, mode: str | None = None, repeats: int = 5,
         raise ValueError("repeats must be >= 3 for a meaningful median")
     if seq_len < 2:
         raise ValueError("seq_len must be >= 2")
+    if decode_tokens < 1:
+        raise ValueError(f"decode_tokens must be >= 1, got {decode_tokens}")
     cfg = model.config
     mode = mode or cfg.mode
     stream = np.arange(seq_len + decode_tokens) % cfg.vocab_size

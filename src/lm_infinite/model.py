@@ -13,13 +13,17 @@ Training always runs ``vanilla_causal`` attention, whatever the model's
 mode; it equals lambda attention only when train_len <= min(n_local,
 l_pretrain), where the lambda mask is causal and no distance reaches the
 clamp. Both modes run the same trained weights.
+
+``ToyModelConfig`` is the one declaration of the model's settings: the
+LMTM config block is written and read from its fields, and the CLI's model
+flags are derived from them.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -563,18 +567,13 @@ def generate(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = (
-    "vocab_size", "d_model", "n_layers", "n_heads", "train_len",
-    "n_global", "n_local", "l_pretrain", "encoding", "rope_base", "mode", "seed",
-)
-
-
 def save_model(model: ToyModel, path) -> None:
     """Checkpoint: magic, u32 version, length-prefixed key=value config
-    block, then named tensors (u32 name length, name, u32 ndim, u32 dims,
-    little-endian f32 data), names sorted."""
+    block with one line per ToyModelConfig field in declaration order, then
+    named tensors (u32 name length, name, u32 ndim, u32 dims, little-endian
+    f32 data), names sorted."""
     cfg = model.config
-    lines = "".join(f"{f}={getattr(cfg, f)}\n" for f in _CONFIG_FIELDS)
+    lines = "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
     blob = lines.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -593,7 +592,8 @@ def save_model(model: ToyModel, path) -> None:
 
 def load_model(path) -> ToyModel:
     """Read an LMTM checkpoint; any malformed byte raises a ValueError that
-    names the path and the byte offset."""
+    names the path and the byte offset. Each config value is converted with
+    its ToyModelConfig field's type, the type of the field's default."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -602,19 +602,15 @@ def load_model(path) -> ToyModel:
     (version,) = reader.unpack("<I", "version")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    types = {f.name: type(f.default) for f in fields(ToyModelConfig)}
     kwargs = {}
     (n,) = reader.unpack("<I", "config length")
     for line in reader.text(n, "config block").splitlines():
         key, _, value = line.partition("=")
-        if key not in _CONFIG_FIELDS:
+        if key not in types:
             raise ValueError(f"{path}: unknown config key {key!r}")
         try:
-            if key in ("encoding", "mode"):
-                kwargs[key] = value
-            elif key == "rope_base":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
+            kwargs[key] = types[key](value)
         except ValueError:
             raise ValueError(f"{path}: bad config value {key}={value!r}") from None
     try:

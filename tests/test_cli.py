@@ -153,6 +153,34 @@ def test_bad_config_key_exit_one(tmp_path, capsys):
     assert "bananas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub, text, line", [
+    ("mask", "n_global=1\nformat=grid\n", 2),
+    ("train", "# steps below\n\nsteps=abc\n", 3),
+    ("train", "steps=2\n\xff\n", 2),
+])
+def test_bad_config_value_names_path_and_line(sub, text, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(text.encode("latin-1"))
+    args = ["--seq-len", "5"] if sub == "mask" else [*TINY, "--out", str(tmp_path)]
+    rc = cli.main([sub, *args, "--config", str(cfg)])
+    assert rc == 1
+    assert f"{cfg}: line {line}:" in capsys.readouterr().err
+
+
+def test_config_every_truncation_exits_cleanly(tmp_path, capsys):
+    # Each cut must run (exit 0) or exit 1 naming the file and the line;
+    # a cut inside the two-byte UTF-8 characters makes the text invalid.
+    blob = "# Λ-mask défaut\nn-global=1\nn_local=2\nformat=ranges\n".encode()
+    cfg = tmp_path / "cut.cfg"
+    for cut in range(len(blob) + 1):
+        cfg.write_bytes(blob[:cut])
+        rc = cli.main(["mask", "--seq-len", "5", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1), cut
+        if rc == 1:
+            assert f"{cfg}: line " in err, (cut, err)
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -190,6 +218,41 @@ def test_config_file_precedence(tmp_path, capsys):
     assert "d_model=16" in eff    # dashed config key normalized
 
 
+def _run_in(out, argv, capsys):
+    """Run argv into ``out`` and return its exit code, stdout and files."""
+    rc = cli.main([*argv, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("sub, setting", [
+    ("train", {"synthetic_length": "60"}),
+    ("diag", {"probe_len": "40"}),
+    ("eval", {"n_global": "4", "n_local": "4", "l_pretrain": "8"}),
+])
+def test_config_value_equals_flag(sub, setting, trained_dir, tmp_path, capsys):
+    model = str(trained_dir / "model.lmtm")
+    corpus = str(trained_dir / "corpus.txt")
+    base = {
+        "train": [*TINY, "--steps", "1", "--batch", "2",
+                  "--synthetic-sequences", "3"],
+        "diag": ["--model", model, "--corpus", corpus],
+        "eval": ["--model", model, "--corpus", corpus, "--milestones", "16,32",
+                 "--skip-continuation"],
+    }[sub]
+    flags = [x for k, v in setting.items() for x in (f"--{k.replace('_', '-')}", v)]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in setting.items()))
+    out = tmp_path / "out"
+    by_flag = _run_in(out, [sub, *base, *flags], capsys)
+    by_file = _run_in(out, [sub, *base, "--config", str(cfg)], capsys)
+    assert by_flag[0] == 0
+    assert by_file == by_flag
+    eff = by_flag[2]["effective_config.txt"].decode()
+    for k, v in setting.items():
+        assert f"{k}={v}\n" in eff
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -218,6 +281,23 @@ def test_generate_prompt_file(trained_dir, tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("file_bytes, culprit", [
+    (None, "'x'"), (b"1 2\n3 x\n", "'x'"), (b"1 2\n\xff\n", "UTF-8"),
+])
+def test_generate_bad_prompt_names_source(file_bytes, culprit, trained_dir,
+                                          tmp_path, capsys):
+    prompt, source = "1 x 3", "--prompt"
+    if file_bytes is not None:
+        source = str(tmp_path / "prompt.txt")
+        (tmp_path / "prompt.txt").write_bytes(file_bytes)
+        prompt = f"@{source}"
+    rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
+                   "--prompt", prompt])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert source in err and culprit in err, err
+
+
 # ---------------------------------------------------------------------------
 # diag
 # ---------------------------------------------------------------------------
@@ -235,6 +315,15 @@ def test_diag_writes_reports(trained_dir, tmp_path, capsys):
     header = (out / "entropy.csv").read_text().splitlines()[0]
     assert header == "length,layer,head,entropy"
     assert "logit bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("probe_len", ["0", "-5"])
+def test_diag_rejects_nonpositive_probe_len(probe_len, trained_dir, tmp_path, capsys):
+    rc = cli.main(["diag", "--model", str(trained_dir / "model.lmtm"),
+                   "--corpus", str(trained_dir / "corpus.txt"),
+                   "--probe-len", probe_len, "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert "probe_len" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +390,8 @@ def test_bench_prints_timings(trained_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment + script entry
+# script entry
 # ---------------------------------------------------------------------------
-
-
-def test_thread_cap_env(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("LMINF_THREADS", "3")
-    cli._setup_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_module_entry_subprocess():

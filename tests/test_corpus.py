@@ -104,6 +104,25 @@ def test_binary_rejects_every_truncation(tmp_path):
         assert str(path) in message and f"byte {cut}" in message, (cut, message)
 
 
+def test_text_every_truncation_loads_or_names_path(tmp_path):
+    seqs = [np.asarray([12, 7, SENTENCE_SEP], dtype=np.uint32),
+            np.asarray([300, 4], dtype=np.uint32)]
+    good = tmp_path / "good.txt"
+    save_corpus(seqs, good)
+    blob = good.read_bytes()
+    path = tmp_path / "cut.txt"
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        try:
+            back = load_corpus(path)
+        except CorpusFormatError as exc:
+            assert str(path) in str(exc), (cut, str(exc))
+            continue
+        whole = blob[:cut].count(b"\n")  # lines the cut left intact
+        assert [list(s) for s in back[:whole]] == [list(s) for s in seqs[:whole]]
+        assert len(back) <= whole + 1, cut
+
+
 def test_binary_bad_version(tmp_path):
     path = tmp_path / "v.lmts"
     path.write_bytes(b"LMTS" + (7).to_bytes(4, "little"))

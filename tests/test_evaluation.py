@@ -45,7 +45,7 @@ def tiny_config(**over):
 
 
 def test_default_milestones_scale_with_train_len():
-    default = cli._DEFAULTS["eval"]["milestones"]
+    default = cli._SUBCOMMANDS["eval"].options["milestones"].default
     assert parse_milestones(default, 128).milestones == (128, 256, 512, 1024, 2048)
     assert parse_milestones(default, 16).milestones == (16, 32, 64, 128, 256)
 
@@ -71,6 +71,14 @@ def test_parse_milestones_multiples_and_absolute():
     assert parse_milestones("1x, 4x", 32).milestones == (32, 128)
     with pytest.raises(ValueError):
         parse_milestones("2x,1x", 128)
+
+
+@pytest.mark.parametrize("text, item", [("1x,abc", "abc"), ("x", "x")])
+def test_parse_milestones_names_bad_item(text, item):
+    with pytest.raises(ValueError) as exc:
+        parse_milestones(text, 128)
+    message = str(exc.value)
+    assert repr(item) in message and repr(text) in message, message
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +231,13 @@ def test_bench_contract():
     assert isinstance(res, BenchResult)
     assert res.encode_seconds > 0 and res.decode_seconds_per_token > 0
     assert res.peak_cache_entries <= model.config.n_global + model.config.n_local
+
+
+@pytest.mark.parametrize("decode_tokens", [0, -2])
+def test_bench_rejects_no_decode_tokens(decode_tokens):
+    model = init(tiny_config())
+    with pytest.raises(ValueError, match="decode_tokens"):
+        bench(model, 32, repeats=3, decode_tokens=decode_tokens)
 
 
 # ---------------------------------------------------------------------------
