@@ -196,6 +196,12 @@ def _load_corpus(path):
 
 
 def _cmd_train(cfg) -> int:
+    if cfg["steps"] < 1:
+        raise ValueError(f"--steps must be >= 1, got {cfg['steps']}")
+    if cfg["synthetic_length"] is not None and cfg["synthetic_length"] < 1:
+        raise ValueError(
+            f"--synthetic-length must be >= 1, got {cfg['synthetic_length']}"
+        )
     model_config = ToyModelConfig(
         **{**{name: cfg[name] for name in _MODEL}, "mode": _internal_mode(cfg["mode"])}
     )
@@ -205,7 +211,9 @@ def _cmd_train(cfg) -> int:
     if cfg["corpus"]:
         corpus = _load_corpus(cfg["corpus"])
     else:
-        length = cfg["synthetic_length"] or 17 * model_config.train_len
+        length = cfg["synthetic_length"]
+        if length is None:
+            length = 17 * model_config.train_len
         lang = SyntheticLanguage(vocab_size=model_config.vocab_size, seed=cfg["seed"])
         corpus = lang.sample(cfg["synthetic_sequences"], length)
         save_corpus(corpus, out / "corpus.txt")
@@ -217,11 +225,12 @@ def _cmd_train(cfg) -> int:
     )
     save_model(result.model, out / "model.lmtm")
     with open(out / "loss.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(result.loss_trace):
-            fh.write(f"{i},{loss!r}\n")
-    last = result.loss_trace[-1] if result.loss_trace else float("nan")
-    print(f"trained {cfg['steps']} steps; final loss {last:.4f}; "
+        fh.write("step,loss,step_seconds,grad_norm,update_norm\n")
+        rows = zip(result.loss_trace, result.step_seconds, result.grad_norm,
+                   result.update_norm)
+        for i, (loss, seconds, grad, update) in enumerate(rows):
+            fh.write(f"{i},{loss!r},{seconds!r},{grad!r},{update!r}\n")
+    print(f"trained {cfg['steps']} steps; final loss {result.loss_trace[-1]:.4f}; "
           f"model -> {out / 'model.lmtm'}")
     return 0
 

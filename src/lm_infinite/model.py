@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +54,7 @@ _MAGIC = b"LMTM"
 _VERSION = 1
 
 ENCODINGS = ("rope", "alibi")
+MICRO_BATCH_ROWS = 512  # input rows per training micro-batch (4 x 128)
 
 
 @dataclass(frozen=True)
@@ -167,24 +169,27 @@ def init(config: ToyModelConfig) -> ToyModel:
 def _layer_norm(x, gamma, beta):
     # sum / n is what np.mean computes, without its Python-level wrapper.
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv, gamma)
+    xhat *= inv
+    y = gamma * xhat
+    y += beta
+    return y, (xhat, inv, gamma)
 
 
 def _layer_norm_backward(dy, stash):
     xhat, inv, gamma = stash
+    n = dy.shape[-1]
     axes = tuple(range(dy.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=axes)
+    t = dy * xhat
+    dgamma = t.sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = dy * gamma  # dL/dxhat, turned into dL/dx in place below
+    m2 = np.multiply(dx, xhat, out=t).sum(axis=-1, keepdims=True) / n
+    dx -= dx.sum(axis=-1, keepdims=True) / n
+    dx -= np.multiply(xhat, m2, out=t)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
@@ -198,8 +203,16 @@ def _gelu(x):
     return x * cdf, cdf
 
 
-def _gelu_grad(x, cdf):
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def _gelu_grad(x, cdf, dy):
+    """dy * GeLU'(x), GeLU'(x) = cdf + x * pdf(x), in one scratch array."""
+    t = np.multiply(x, -0.5)
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI
+    t *= x
+    t += cdf
+    t *= dy
+    return t
 
 
 def _check_ids(ids, vocab_size):
@@ -311,12 +324,36 @@ def _loss_and_grads(model, ids, att_config):
     """Mean next-token NLL over all positions, plus parameter gradients.
 
     The forward runs over the input rows ids[..., :-1] only; ids[..., 1:]
-    are their targets.
+    are their targets. A batch runs as micro-batches of whole sequences,
+    about MICRO_BATCH_ROWS input rows each, so that one chunk's activations
+    stay in cache; the gradients of the chunks add up in place. A single
+    sequence, or a batch of at most MICRO_BATCH_ROWS rows, is one chunk.
     """
+    n_pred = ids[..., 1:].size
+    per_chunk = max(1, MICRO_BATCH_ROWS // (ids.shape[-1] - 1))
+    chunks = [ids] if ids.ndim == 1 else [
+        ids[s : s + per_chunk] for s in range(0, ids.shape[0], per_chunk)
+    ]
+    grads = {}
+    nll = 0.0
+    for chunk in chunks:
+        nll += _chunk_nll_and_grads(model, chunk, att_config, n_pred, grads)
+    return float(nll / n_pred), grads
+
+
+def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
+    """Summed NLL of one chunk; adds its share of the gradient of the mean
+    over ``n_pred`` predictions into ``grads``."""
     cfg = model.config
     p = model.params
     inputs, targets = ids[..., :-1], ids[..., 1:]
     att_stashes = []
+
+    def add(name, g):
+        if name in grads:
+            grads[name] += g
+        else:
+            grads[name] = g
 
     def attn(i, q, k, v):
         a, att_stash = attend(q, k, v, att_config)
@@ -326,45 +363,43 @@ def _loss_and_grads(model, ids, att_config):
     stash = []
     logits = _forward(model, inputs, attn, stash=stash)
     *layers, (hf, lnf) = stash
-    zmax = logits.max(axis=-1, keepdims=True)
-    z = logits - zmax
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    log_probs = z - lse
-    n_pred = targets.size
-    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)
-    loss = -picked.sum() / n_pred
+    z = logits - logits.max(axis=-1, keepdims=True)
+    dlogits = np.exp(z)
+    total = dlogits.sum(axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, targets[..., None], axis=-1) - np.log(total)
 
     # dNLL/dlogits = (softmax - onehot) / n_pred.
-    dlogits = np.exp(log_probs)
+    dlogits /= total
     flat = dlogits.reshape(-1, cfg.vocab_size)
     flat[np.arange(flat.shape[0]), targets.reshape(-1)] -= 1.0
     dlogits /= n_pred
 
-    grads = {}
     axes = tuple(range(hf.ndim - 1))
-    grads["head"] = np.tensordot(hf, dlogits, axes=(axes, axes))
+    add("head", np.tensordot(hf, dlogits, axes=(axes, axes)))
     dhf = dlogits @ p["head"].T
     dx, dg, db = _layer_norm_backward(dhf, lnf)
-    grads["ln_f/gamma"], grads["ln_f/beta"] = dg, db
+    add("ln_f/gamma", dg)
+    add("ln_f/beta", db)
 
     for i in reversed(range(cfg.n_layers)):
         pre = f"layer{i}"
         st = layers[i]
         # MLP branch
         dmlp = dx
-        grads[f"{pre}/mlp/b2"] = dmlp.sum(axis=axes)
-        grads[f"{pre}/mlp/w2"] = np.tensordot(st["g"], dmlp, axes=(axes, axes))
+        add(f"{pre}/mlp/b2", dmlp.sum(axis=axes))
+        add(f"{pre}/mlp/w2", np.tensordot(st["g"], dmlp, axes=(axes, axes)))
         dgelu = dmlp @ p[f"{pre}/mlp/w2"].T
-        du = dgelu * _gelu_grad(st["u"], st["cdf"])
-        grads[f"{pre}/mlp/b1"] = du.sum(axis=axes)
-        grads[f"{pre}/mlp/w1"] = np.tensordot(st["h2"], du, axes=(axes, axes))
+        du = _gelu_grad(st["u"], st["cdf"], dgelu)
+        add(f"{pre}/mlp/b1", du.sum(axis=axes))
+        add(f"{pre}/mlp/w1", np.tensordot(st["h2"], du, axes=(axes, axes)))
         dh2 = du @ p[f"{pre}/mlp/w1"].T
         dx_mid, dg2, db2 = _layer_norm_backward(dh2, st["ln2"])
-        grads[f"{pre}/ln2/gamma"], grads[f"{pre}/ln2/beta"] = dg2, db2
+        add(f"{pre}/ln2/gamma", dg2)
+        add(f"{pre}/ln2/beta", db2)
         dx_mid = dx_mid + dx
         # Attention branch
         dattn_proj = dx_mid
-        grads[f"{pre}/attn/wo"] = np.tensordot(st["a"], dattn_proj, axes=(axes, axes))
+        add(f"{pre}/attn/wo", np.tensordot(st["a"], dattn_proj, axes=(axes, axes)))
         da = dattn_proj @ p[f"{pre}/attn/wo"].T
         h = st["h"]
         dq, dk, dv = attend_backward(
@@ -374,14 +409,15 @@ def _loss_and_grads(model, ids, att_config):
         for name, d in (("wq", dq), ("wk", dk), ("wv", dv)):
             d = d.reshape(h.shape)
             dh = dh + d @ p[f"{pre}/attn/{name}"].T
-            grads[f"{pre}/attn/{name}"] = np.tensordot(h, d, axes=(axes, axes))
+            add(f"{pre}/attn/{name}", np.tensordot(h, d, axes=(axes, axes)))
         dx_in, dg1, db1 = _layer_norm_backward(dh, st["ln1"])
-        grads[f"{pre}/ln1/gamma"], grads[f"{pre}/ln1/beta"] = dg1, db1
+        add(f"{pre}/ln1/gamma", dg1)
+        add(f"{pre}/ln1/beta", db1)
         dx = dx_mid + dx_in
 
-    grads["embedding"] = np.zeros_like(p["embedding"])
-    np.add.at(grads["embedding"], inputs.reshape(-1), dx.reshape(-1, cfg.d_model))
-    return float(loss), grads
+    embedding = grads.setdefault("embedding", np.zeros_like(p["embedding"]))
+    np.add.at(embedding, inputs.reshape(-1), dx.reshape(-1, cfg.d_model))
+    return -picked.sum()
 
 
 def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
@@ -401,8 +437,13 @@ def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
 
 @dataclass
 class TrainResult:
+    """The trained model and per-step telemetry, one float per step each."""
+
     model: ToyModel
-    loss_trace: list  # one float per step
+    loss_trace: list  # mean next-token NLL of the step's batch
+    step_seconds: list  # wall time: batch sampling, loss and grads, Adam update
+    grad_norm: list  # L2 norm of the gradient over all parameters
+    update_norm: list  # L2 norm of the parameter change Adam made
 
 
 def train(
@@ -442,8 +483,9 @@ def train(
 
     m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
     v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
-    trace = []
+    result = TrainResult(model, [], [], [], [])
     for step in range(steps):
+        started = time.perf_counter()
         picks = stream.integers(0, len(eligible), batch)
         rows = []
         for s in picks:
@@ -458,17 +500,24 @@ def train(
             raise TrainingDivergedError(f"diverged at step {step}: {exc}") from None
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"training loss became {loss} at step {step}")
-        trace.append(loss)
         t = step + 1
         bc1 = 1.0 - _BETA1**t
         bc2 = 1.0 - _BETA2**t
+        grad_sq = update_sq = 0.0
         for name in sorted(model.params):
             g = grads[name]
             m_state[name] = _BETA1 * m_state[name] + (1.0 - _BETA1) * g
             v_state[name] = _BETA2 * v_state[name] + (1.0 - _BETA2) * (g * g)
             update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + _ADAM_EPS)
-            model.params[name] -= lr * update
-    return TrainResult(model=model, loss_trace=trace)
+            delta = lr * update
+            model.params[name] -= delta
+            grad_sq += np.vdot(g, g)
+            update_sq += np.vdot(delta, delta)
+        result.loss_trace.append(loss)
+        result.step_seconds.append(time.perf_counter() - started)
+        result.grad_norm.append(math.sqrt(grad_sq))
+        result.update_norm.append(math.sqrt(update_sq))
+    return result
 
 
 # ---------------------------------------------------------------------------

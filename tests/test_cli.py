@@ -193,11 +193,29 @@ def test_train_artifacts(trained_dir):
     assert model.config.vocab_size == 31
     assert model.config.train_len == 16
     loss_lines = (trained_dir / "loss.csv").read_text().strip().splitlines()
-    assert loss_lines[0] == "step,loss"
+    assert loss_lines[0] == "step,loss,step_seconds,grad_norm,update_norm"
     assert len(loss_lines) == 1 + 3  # header + one row per step
+    for i, line in enumerate(loss_lines[1:]):
+        step, *values = line.split(",")
+        assert int(step) == i
+        assert len(values) == 4 and all(float(x) > 0 for x in values)
     eff = (trained_dir / "effective_config.txt").read_text()
     assert "steps=3" in eff
     assert "seed=7" in eff
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "0"), ("--steps", "-1"),
+    ("--synthetic-length", "0"), ("--synthetic-length", "-5"),
+])
+def test_train_rejects_nonpositive_counts(flag, value, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["train", *TINY, "--steps", "1", "--batch", "2",
+            "--synthetic-sequences", "3", "--out", str(out)]
+    rc = cli.main([*argv, flag, value])
+    assert rc == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()  # nothing written, not even an untrained model
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -222,6 +240,9 @@ def _run_in(out, argv, capsys):
     """Run argv into ``out`` and return its exit code, stdout and files."""
     rc = cli.main([*argv, "--out", str(out)])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    if "loss.csv" in files:  # drop step_seconds, the one wall-clock column
+        rows = [line.split(b",") for line in files["loss.csv"].splitlines()]
+        files["loss.csv"] = [row[:2] + row[3:] for row in rows]
     return rc, capsys.readouterr().out, files
 
 

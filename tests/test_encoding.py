@@ -152,6 +152,45 @@ def test_rotation_inverse_via_negated_sin():
     assert np.allclose(back, x, atol=1e-12)
 
 
+def pair_formula(x, cos, sin):
+    """The rotation written out pair by pair, as strided halves."""
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "pinned_slice", "swapaxes"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_complex_rotation_equals_pair_formula(layout, sign):
+    params = RopeParams(head_dim=16)
+    rng = np.random.default_rng(331)
+    base = rng.normal(size=(2, 3, 12, 16))  # (batch, heads, seq, head_dim)
+    if layout == "contiguous":
+        x = base
+    elif layout == "pinned_slice":
+        x = base[..., :5, :]  # the far-key slice [..., :G, :]
+    else:
+        x = np.swapaxes(base.reshape(2, 12, 3, 16), -3, -2)  # (..., H, seq, hd) view
+    cos, sin = rope_cos_sin(np.arange(x.shape[-2]), params)  # broadcast over (2, 3)
+    before = x.copy()
+    got = apply_rotation_f64(x, cos, sign * sin)
+    assert got.shape == x.shape and got.dtype == np.float64
+    np.testing.assert_allclose(got, pair_formula(x, cos, sign * sin), rtol=0, atol=1e-15)
+    assert np.array_equal(x, before)
+
+
+def test_rope_rotate_still_returns_float32():
+    params = RopeParams(head_dim=8)
+    x = np.arange(24, dtype=np.float32).reshape(3, 8)
+    out = rope_rotate(x, 17, params)
+    assert out.dtype == np.float32 and out.shape == (3, 8)
+    cos, sin = rope_cos_sin(17, params)
+    want = pair_formula(x.astype(np.float64), cos, sin)
+    np.testing.assert_allclose(out, want, rtol=1e-6)
+
+
 def test_rope_validation():
     with pytest.raises(ValueError):
         RopeParams(head_dim=7)

@@ -190,6 +190,36 @@ def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
     assert rows == [128] * model.config.n_layers
 
 
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_micro_batches_equal_one_chunk(monkeypatch, mode, encoding):
+    import lm_infinite.model as model_module
+
+    model = init(tiny_config(encoding=encoding, n_local=8, l_pretrain=8))
+    rng = np.random.default_rng(77)
+    for name in model.params:  # break init's symmetries (zero biases, unit gains)
+        model.params[name] = model.params[name] + 0.05 * rng.normal(
+            size=model.params[name].shape
+        )
+    ids = rng.integers(0, 31, (5, 21))  # past the clamp; 20 input rows each
+    one_loss, one_grads = loss_and_grads(model, ids, mode=mode)
+    attend_rows = []
+    real = model_module.attend
+
+    def recording(q, k, v, config):
+        attend_rows.append(q.shape[0])
+        return real(q, k, v, config)
+
+    monkeypatch.setattr(model_module, "attend", recording)
+    monkeypatch.setattr(model_module, "MICRO_BATCH_ROWS", 40)  # 2 sequences a chunk
+    loss, grads = loss_and_grads(model, ids, mode=mode)
+    assert attend_rows == [2] * 2 + [2] * 2 + [1] * 2  # chunks 2, 2, 1 x 2 layers
+    assert abs(loss - one_loss) <= 1e-12
+    assert grads.keys() == one_grads.keys()
+    for name, g in one_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+
 def test_gradients_batch_is_mean_of_sequences():
     model = init(tiny_config())
     a = (np.arange(9) * 3) % 31
@@ -216,6 +246,20 @@ def test_train_zero_steps_leaves_params_untouched(tiny_corpus):
     assert result.loss_trace == []
     for name, arr in before.items():
         assert np.array_equal(arr, result.model.params[name])
+
+
+def test_train_reports_per_step_telemetry(tiny_corpus):
+    model = init(tiny_config())
+    start = {k: v.copy() for k, v in model.params.items()}
+    result = train(model, tiny_corpus, steps=3, batch_shape=(4, 16))
+    for trace in (result.step_seconds, result.grad_norm, result.update_norm):
+        assert len(trace) == 3
+        assert all(math.isfinite(x) and x > 0 for x in trace)
+    # One step: the update norm is the distance the parameters moved.
+    one = train(init(tiny_config()), tiny_corpus, steps=1, batch_shape=(4, 16))
+    moved = sum(np.sum((one.model.params[k] - start[k]) ** 2) for k in start)
+    assert math.isclose(one.update_norm[0], math.sqrt(moved), rel_tol=1e-9)
+    assert one.grad_norm[0] == result.grad_norm[0]
 
 
 def test_train_reduces_loss(tiny_corpus):
