@@ -15,10 +15,6 @@ from lm_infinite.corpus import (
 )
 from lm_infinite.diagnostics import (
     DiagnosticsReport,
-    attention_entropy,
-    entropy_curve,
-    logit_profile,
-    position_projection,
     position_separation,
     project_states,
     run_diagnostics,
@@ -87,26 +83,22 @@ __all__ = [
     "TrainResult",
     "attend",
     "attend_single",
-    "attention_entropy",
     "bench",
     "bleu",
     "build_mask",
     "continuation_eval",
     "default_alibi_slopes",
     "effective_distance",
-    "entropy_curve",
     "forward",
     "forward_traced",
     "generate",
     "init",
     "load_corpus",
     "load_model",
-    "logit_profile",
     "loss_and_grads",
     "mask_density",
     "nll_curve",
     "parse_milestones",
-    "position_projection",
     "position_separation",
     "project_states",
     "rouge_lsum",

@@ -1,19 +1,20 @@
 """Out-of-distribution diagnostics on the toy model.
 
-Three measurements, one per failure factor in long-context attention:
+``run_diagnostics`` reads three measurements off one traced forward pass,
+one per failure factor in long-context attention:
 
-* logit_profile — attention logits of the last query row bucketed by key
+* logit stats — attention logits of the last query row bucketed by key
   distance: unseen distances drive logits to larger magnitudes;
-* entropy_curve / attention_entropy — row entropy as context grows: with
-  bounded logits over n keys entropy grows like ln n (and is provably
-  >= ln n - 2B for logits bounded by B), while the lambda mask caps the
-  support at n_global + n_local keys;
-* position_projection — 2-d PCA of the residual stream: hidden states
-  carry implicit absolute-position information, concentrated in the
-  earliest positions.
+* entropy curve — row entropy as context grows: with bounded logits over n
+  keys entropy grows like ln n (and is provably >= ln n - 2B for logits
+  bounded by B), while the lambda mask caps the support at
+  n_global + n_local keys;
+* PCA projection — 2-d PCA of the residual stream: hidden states carry
+  implicit absolute-position information, concentrated in the earliest
+  positions.
 
-All natural logs. PCA uses power iteration with deflation (two components
-are all we ever need) on mean-centered states — no further normalization.
+All natural logs. The PCA is numpy's symmetric eigendecomposition of the
+covariance of the mean-centered states — no further normalization.
 """
 
 from __future__ import annotations
@@ -25,29 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from lm_infinite.model import ToyModel, forward_traced
-from lm_infinite.rng import SplitMix64, derive_stream
 
 _PCA_TOL = 1e-6
-_PCA_MAX_ITERS = 1000
-
-
-# ---------------------------------------------------------------------------
-# Entropy
-# ---------------------------------------------------------------------------
-
-
-def attention_entropy(weights) -> float:
-    """Shannon entropy (nats) of one attention row."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"weights must be a non-empty vector, got shape {w.shape}")
-    if (w < 0.0).any():
-        raise ValueError("attention weights must be non-negative")
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-5:
-        raise ValueError(f"attention weights sum to {total}, expected 1 ± 1e-5")
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+_BUCKET_WIDTH = 64
 
 
 @dataclass
@@ -56,19 +37,6 @@ class EntropyCurve:
 
     lengths: np.ndarray  # (seq_len,) = 1..seq_len
     entropy: np.ndarray  # (n_layers, n_heads, seq_len)
-
-
-def entropy_curve(model: ToyModel, tokens, mode: str | None = None) -> EntropyCurve:
-    """One traced forward; causality makes row i the last-token row of the
-    length-(i+1) prefix, so a single pass yields the whole curve."""
-    tokens = _check_tokens(tokens, 2, "entropy_curve")
-    _, trace = forward_traced(model, tokens, mode=mode)
-    return _entropy_from_trace(trace)
-
-
-def _entropy_from_trace(trace) -> EntropyCurve:
-    ent = np.stack(trace.entropy)
-    return EntropyCurve(lengths=np.arange(1, ent.shape[-1] + 1), entropy=ent)
 
 
 # ---------------------------------------------------------------------------
@@ -95,43 +63,7 @@ class LogitProfile:
     bound: float  # B: max |logit| over the whole row
 
 
-def logit_profile(
-    model: ToyModel,
-    tokens,
-    layer: int,
-    head: int,
-    mode: str | None = None,
-    bucket_width: int = 64,
-) -> LogitProfile:
-    """Last-row attention logits bucketed by key distance."""
-    _check_layer_head(model.config, layer, head)
-    if bucket_width < 1:
-        raise ValueError("bucket_width must be >= 1")
-    tokens = _check_tokens(tokens, 2, "logit_profile")
-    mode = mode or model.config.mode
-    _, trace = forward_traced(model, tokens, mode=mode)
-    return _profile_from_trace(trace, model.config, mode, layer, head, bucket_width)
-
-
-def _check_tokens(tokens, minimum, what):
-    tokens = np.asarray(tokens)
-    if tokens.size < minimum:
-        raise ValueError(f"{what} needs at least {minimum} tokens")
-    return tokens
-
-
-def _check_layer(cfg, layer):
-    if not 0 <= layer < cfg.n_layers:
-        raise ValueError(f"layer {layer} out of range [0, {cfg.n_layers})")
-
-
-def _check_layer_head(cfg, layer, head):
-    _check_layer(cfg, layer)
-    if not 0 <= head < cfg.n_heads:
-        raise ValueError(f"head {head} out of range [0, {cfg.n_heads})")
-
-
-def _profile_from_trace(trace, cfg, mode, layer, head, bucket_width=64) -> LogitProfile:
+def _profile_from_trace(trace, cfg, mode, layer, head) -> LogitProfile:
     logits = trace.last_logits[layer][head]
     dist = trace.last_distances[layer]
 
@@ -142,8 +74,8 @@ def _profile_from_trace(trace, cfg, mode, layer, head, bucket_width=64) -> Logit
 
     buckets = []
     top = int(dist.max())
-    for lo in range(0, top + 1, bucket_width):
-        hi = lo + bucket_width
+    for lo in range(0, top + 1, _BUCKET_WIDTH):
+        hi = lo + _BUCKET_WIDTH
         sel = logits[(dist >= lo) & (dist < hi)]
         if sel.size == 0:
             buckets.append(LogitBucket(lo, hi, 0, math.nan, math.nan, math.nan, math.nan))
@@ -181,35 +113,8 @@ class PcaProjection:
     components: np.ndarray = field(default=None, repr=False)  # (2, d_model)
 
 
-def _power_iteration(cov, start):
-    v = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(_PCA_MAX_ITERS):
-        nxt = cov @ v
-        norm = np.linalg.norm(nxt)
-        if norm < _PCA_TOL:
-            return v, 0.0  # cov annihilates v: no variance left
-        nxt = nxt / norm
-        if min(np.linalg.norm(nxt - v), np.linalg.norm(nxt + v)) < _PCA_TOL:
-            v = nxt
-            break
-        v = nxt
-    lam = float(v @ cov @ v)
-    return v, lam
-
-
-def position_projection(
-    model: ToyModel, tokens, layer: int, mode: str | None = None
-) -> PcaProjection:
-    """Top-2 PCA of the residual stream after ``layer``, one dot per token."""
-    _check_layer(model.config, layer)
-    tokens = _check_tokens(tokens, 3, "position_projection")
-    _, trace = forward_traced(model, tokens, mode=mode)
-    return project_states(trace.hidden[layer])
-
-
 def project_states(states) -> PcaProjection:
-    """PCA of arbitrary (n_points, dim) feature rows (power iteration)."""
+    """Top-2 PCA of arbitrary (n_points, dim) feature rows."""
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
         raise ValueError(f"need (n_points >= 3, dim) states, got {x.shape}")
@@ -217,39 +122,28 @@ def project_states(states) -> PcaProjection:
     cov = (centered.T @ centered) / (x.shape[0] - 1)
     total_var = float(np.trace(cov))
 
-    stream = SplitMix64(derive_stream(0, "pca-start"))
-    start = stream.normal((x.shape[1],))
-    v1, lam1 = _power_iteration(cov, start)
-    degenerate = False
-    if lam1 <= _PCA_TOL * max(total_var, 1.0):
-        # No variance at all: both components meaningless.
-        return PcaProjection(
-            positions=np.arange(x.shape[0]),
-            coords=np.zeros((x.shape[0], 2)),
-            explained_variance=np.zeros(2),
-            degenerate=True,
-            components=np.zeros((2, x.shape[1])),
-        )
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, lam2 = _power_iteration(deflated, stream.normal((x.shape[1],)))
-    if lam2 <= _PCA_TOL * lam1:
-        degenerate = True  # rank < 2: keep first component, zero the second
-        v2 = np.zeros_like(v2)
-        lam2 = 0.0
+    # eigh sorts ascending; take the top two, zero-padded when dim is 1.
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    k = min(2, x.shape[1])
+    lam = np.zeros(2)
+    lam[:k] = eigvals[::-1][:k]
+    components = np.zeros((2, x.shape[1]))
+    components[:k] = eigvecs[:, ::-1].T[:k]
+    if lam[0] <= _PCA_TOL * max(total_var, 1.0):
+        lam[:] = 0.0  # no variance at all: both components meaningless
+    if lam[1] <= _PCA_TOL * lam[0]:
+        lam[1] = 0.0  # rank < 2: keep the first component, zero the second
+    components[lam == 0.0] = 0.0
+    for v in components:
+        if v[np.argmax(np.abs(v))] < 0:
+            v *= -1.0  # deterministic sign: largest-magnitude entry positive
 
-    comps = []
-    for v in (v1, v2):
-        if v.any() and v[np.argmax(np.abs(v))] < 0:
-            v = -v  # deterministic sign: largest-magnitude entry positive
-        comps.append(v)
-    components = np.stack(comps)
-    coords = centered @ components.T
-    explained = np.array([lam1, lam2]) / total_var if total_var > 0 else np.zeros(2)
+    explained = lam / total_var if total_var > 0 else np.zeros(2)
     return PcaProjection(
         positions=np.arange(x.shape[0]),
-        coords=coords,
+        coords=centered @ components.T,
         explained_variance=explained,
-        degenerate=degenerate,
+        degenerate=bool(lam[1] == 0.0),
         components=components,
     )
 
@@ -286,23 +180,33 @@ def run_diagnostics(
     layer: int = 0,
     head: int = 0,
     mode: str | None = None,
-    pca_layer: int | None = None,
 ) -> DiagnosticsReport:
-    """logit_profile, entropy_curve and position_projection from one traced
-    forward pass; equal to the three separate calls."""
+    """All three measurements from one traced forward pass.
+
+    Logit stats: ``head`` of ``layer``, last query row, key distances in
+    buckets of 64. Entropy curve: every layer and head; causality makes row
+    i the last row of the length-(i+1) prefix, so one pass yields the whole
+    curve. PCA: the residual stream after ``layer``.
+    """
     cfg = model.config
-    pca_layer = layer if pca_layer is None else pca_layer
-    _check_layer_head(cfg, layer, head)
-    _check_layer(cfg, pca_layer)
-    tokens = _check_tokens(tokens, 3, "run_diagnostics")
+    if not 0 <= layer < cfg.n_layers:
+        raise ValueError(f"layer {layer} out of range [0, {cfg.n_layers})")
+    if not 0 <= head < cfg.n_heads:
+        raise ValueError(f"head {head} out of range [0, {cfg.n_heads})")
+    tokens = np.asarray(tokens)
+    if tokens.size < 3:
+        raise ValueError("run_diagnostics needs at least 3 tokens")
     mode = mode or cfg.mode
     _, trace = forward_traced(model, tokens, mode=mode)
     profile = _profile_from_trace(trace, cfg, mode, layer, head)
+    entropy = np.stack(trace.entropy)
     return DiagnosticsReport(
         logit_stats=profile,
-        entropy_curve=_entropy_from_trace(trace),
+        entropy_curve=EntropyCurve(
+            lengths=np.arange(1, entropy.shape[-1] + 1), entropy=entropy
+        ),
         logit_bound=profile.bound,
-        pca_projection=project_states(trace.hidden[pca_layer]),
+        pca_projection=project_states(trace.hidden[layer]),
     )
 
 

@@ -2,9 +2,9 @@
 distance-limited logit ops used by the lambda attention path.
 
 Adjacent component pairs (x_{2a}, x_{2a+1}) form the rotation planes.
-All trig and dot-product accumulation runs in float64; public outputs are
-stored in float32. The *_f64 helpers keep full precision for callers (the
-attention/model stack) that need it for gradient checking.
+Everything runs and returns in float64. The model rotates whole stacks
+through rope_cos_sin + apply_rotation_f64; rope_logit and alibi_logit are
+the one-pair reference logits the attention tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -99,26 +99,13 @@ def _check_vector(name: str, x: np.ndarray, head_dim: int):
         )
 
 
-def rope_rotate(x, position: int, params: RopeParams) -> np.ndarray:
-    """Rotate pair (x_{2a}, x_{2a+1}) by angle position * omega_a.
-
-    Accepts a single vector or any (..., head_dim) stack. Output norm
-    equals input norm; position 0 is the identity.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    _check_vector("x", arr, params.head_dim)
-    if position < 0:
-        raise ValueError(f"position must be >= 0, got {position}")
-    cos, sin = rope_cos_sin(position, params)
-    return apply_rotation_f64(arr, cos, sin).astype(np.float32)
-
-
 def rope_logit(q, k, dist: int, params: RopeParams) -> float:
     """Distance-limited rotary attention logit.
 
-    Computes <rope_rotate(q, dist), k> / sqrt(head_dim) with k unrotated.
-    ``dist`` must already be clamped (see masking.effective_distance):
-    the true distance for local-branch pairs, l_pretrain for global ones.
+    Computes <R(dist) q, k> / sqrt(head_dim) with k unrotated, where
+    R(dist) turns pair a by the angle dist * omega_a. ``dist`` must already
+    be clamped (see masking.effective_distance): the true distance for
+    local-branch pairs, l_pretrain for global ones.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -130,8 +117,7 @@ def rope_logit(q, k, dist: int, params: RopeParams) -> float:
         raise ValueError(f"dist must be >= 0, got {dist}")
     cos, sin = rope_cos_sin(dist, params)
     rotated = apply_rotation_f64(q, cos, sin)
-    value = np.sum(rotated * k, axis=-1) / math.sqrt(params.head_dim)
-    return float(np.float32(value))
+    return float(np.sum(rotated * k, axis=-1) / math.sqrt(params.head_dim))
 
 
 def alibi_logit(q, k, dist: int, slope: float) -> float:
@@ -148,5 +134,4 @@ def alibi_logit(q, k, dist: int, slope: float) -> float:
         raise ValueError(f"slope must be finite and >= 0, got {slope}")
     if dist < 0:
         raise ValueError(f"dist must be >= 0, got {dist}")
-    value = float(q @ k) / math.sqrt(q.shape[-1]) - slope * dist
-    return float(np.float32(value))
+    return float(q @ k) / math.sqrt(q.shape[-1]) - slope * dist

@@ -231,6 +231,8 @@ def truncation_baseline(
         raise ValueError("total_gen must be >= 1")
     if prompt_len is None:
         prompt_len = cfg.train_len
+    if prompt_len < 1:
+        raise ValueError(f"prompt_len must be >= 1, got {prompt_len}")
     corpus = [np.asarray(s) for s in corpus]
 
     per_head = 0

@@ -73,7 +73,7 @@ def test_matches_dense_oracle(mode, kind, seq_len):
     got, _ = attend(q, k, v, config)
     want, _ = oracle_attend(q, k, v, config)
     assert got.shape == q.shape
-    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-12, rtol=0)
 
 
 def test_singleton_sequence():
@@ -96,7 +96,7 @@ def test_short_sequence_lambda_equals_vanilla(kind):
         q, k, v = random_qkv(rng, seq_len)
         a, _ = attend(q, k, v, make_config("lambda", kind))
         b, _ = attend(q, k, v, make_config("vanilla_causal", kind))
-        assert np.allclose(a, b, atol=1e-5)
+        assert np.allclose(a, b, atol=1e-12, rtol=0)
 
 
 def test_uniform_weights_on_worked_example():
@@ -125,7 +125,7 @@ def test_weights_row_stochastic_and_on_mask(mode):
     mask = build_mask(14, config.mask_params)
     for i in range(14):
         keys, weights, _ = stash.row(i)
-        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-5)
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12, rtol=0)
         assert np.all(weights >= 0)
         if mode == "lambda":
             assert keys.tolist() == mask.row_indices(i).tolist()
@@ -166,7 +166,7 @@ def test_stable_at_huge_logits(mode):
         out, stash = attend(q, k, v, config)
     assert np.all(np.isfinite(out))
     for i in range(10):
-        assert np.allclose(stash.row(i)[1].sum(axis=1), 1.0, atol=1e-5)
+        assert np.allclose(stash.row(i)[1].sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
 
 def test_nan_input_names_row():
@@ -359,15 +359,15 @@ def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
     q, k, v = random_qkv(rng, seq_len)
     got, stash = attend(q, k, v, config)
     want, w = oracle_attend(q, k, v, config)
-    assert np.allclose(got.reshape(want.shape), want, atol=1e-5)
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-12, rtol=0)
     entropy = stash.entropy()
     for i in range(seq_len):
         cols = np.flatnonzero(w[0, i] > 0)
         keys, weights, dist = stash.row(i)
         assert keys.tolist() == cols.tolist()
-        assert np.allclose(weights, w[:, i, cols], atol=1e-6)
+        assert np.allclose(weights, w[:, i, cols], atol=1e-12, rtol=0)
         ent = -(w[:, i, cols] * np.log(w[:, i, cols])).sum(axis=-1)
-        assert np.allclose(entropy[:, i], ent, atol=1e-6)
+        assert np.allclose(entropy[:, i], ent, atol=1e-12, rtol=0)
         d = i - keys
         if mode == "lambda":
             d = np.minimum(d, config.mask_params.l_pretrain)

@@ -1,0 +1,38 @@
+"""Smoke runs of the demos that are the only callers of some public names:
+01 (mask_density, effective_distance), 05 (the diagnostics report and its
+CSV writers) and 06 (bench, truncation_baseline, vanilla_op_count)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["01_lambda_mask.py", "05_ood_diagnostics.py", "06_efficiency.py"]
+)
+def test_demo_runs(tmp_path, name):
+    result = run_demo(name, tmp_path)
+    assert result.returncode == 0, result.stderr
+    if name.startswith("05"):
+        for csv_name in ("entropy.csv", "logits.csv", "pca.csv"):
+            assert (tmp_path / "demo_out" / csv_name).stat().st_size > 0

@@ -1,4 +1,4 @@
-"""Diagnostics: entropy, logit buckets, PCA projection."""
+"""Diagnostics: entropy, logit buckets, PCA projection, all from run_diagnostics."""
 
 import csv
 import math
@@ -7,10 +7,6 @@ import numpy as np
 import pytest
 
 from lm_infinite.diagnostics import (
-    attention_entropy,
-    entropy_curve,
-    logit_profile,
-    position_projection,
     position_separation,
     project_states,
     run_diagnostics,
@@ -39,48 +35,18 @@ def small_model(**over):
 
 
 # ---------------------------------------------------------------------------
-# attention_entropy
+# Entropy curve
 # ---------------------------------------------------------------------------
 
 
-def test_entropy_uniform():
-    assert attention_entropy([0.25] * 4) == pytest.approx(math.log(4), abs=1e-12)
-
-
-def test_entropy_one_hot_is_zero():
-    assert attention_entropy([0.0, 1.0, 0.0]) == 0.0
-
-
-def test_entropy_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        attention_entropy([0.5, -0.1, 0.6])
-    with pytest.raises(ValueError):
-        attention_entropy([0.5, 0.4])  # sums to 0.9
-    with pytest.raises(ValueError):
-        attention_entropy([])
-
-
-def test_entropy_lower_bound_spot_check():
-    # For logits in [-B, B] over n keys, entropy >= ln n - 2B. The full
-    # 10^4-trial sweep lives in the acceptance suite; this is a smoke run.
-    stream = SplitMix64(7)
-    for n in (8, 64, 512):
-        for B in (1.0, 2.0, 5.0):
-            z = (stream.uniform(n) * 2 - 1) * B
-            e = np.exp(z - z.max())
-            w = e / e.sum()
-            assert attention_entropy(w) >= math.log(n) - 2 * B - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# entropy_curve
-# ---------------------------------------------------------------------------
+def entropy_of(model, tokens, mode):
+    return run_diagnostics(model, tokens, mode=mode).entropy_curve
 
 
 def test_entropy_curve_shape_and_first_point():
     model = small_model()
     tokens = np.arange(20) % 23
-    curve = entropy_curve(model, tokens, mode="vanilla_causal")
+    curve = entropy_of(model, tokens, "vanilla_causal")
     assert curve.entropy.shape == (2, 2, 20)
     assert curve.lengths[0] == 1 and curve.lengths[-1] == 20
     np.testing.assert_allclose(curve.entropy[:, :, 0], 0.0, atol=1e-12)
@@ -91,9 +57,9 @@ def test_entropy_curve_matches_prefix_forward():
     # a fresh forward over just the first n tokens.
     model = small_model()
     tokens = (np.arange(30) * 5 + 1) % 23
-    curve = entropy_curve(model, tokens, mode="lambda")
-    for n in (2, 7, 19, 30):
-        sub = entropy_curve(model, tokens[:n], mode="lambda")
+    curve = entropy_of(model, tokens, "lambda")
+    for n in (3, 7, 19, 30):
+        sub = entropy_of(model, tokens[:n], "lambda")
         np.testing.assert_allclose(
             curve.entropy[:, :, n - 1], sub.entropy[:, :, n - 1], atol=1e-10
         )
@@ -103,35 +69,36 @@ def test_entropy_curve_lambda_cap():
     model = small_model()
     cap = math.log(model.config.n_global + model.config.n_local)
     tokens = np.arange(16 * model.config.n_local) % 23
-    curve = entropy_curve(model, tokens, mode="lambda")
+    curve = entropy_of(model, tokens, "lambda")
     assert curve.entropy.max() <= cap + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# logit_profile
+# Logit stats
 # ---------------------------------------------------------------------------
 
 
 def test_logit_profile_validation():
     model = small_model()
     tokens = np.arange(10) % 23
+    with pytest.raises(ValueError, match="layer 5"):
+        run_diagnostics(model, tokens, layer=5, head=0)
+    with pytest.raises(ValueError, match="head 9"):
+        run_diagnostics(model, tokens, layer=0, head=9)
     with pytest.raises(ValueError):
-        logit_profile(model, tokens, layer=5, head=0)
-    with pytest.raises(ValueError):
-        logit_profile(model, tokens, layer=0, head=9)
-    with pytest.raises(ValueError):
-        logit_profile(model, [1], layer=0, head=0)
+        run_diagnostics(model, [1], layer=0, head=0)
 
 
 def test_logit_profile_buckets_cover_without_gaps():
     model = small_model()
-    tokens = (np.arange(60) * 3) % 23
-    prof = logit_profile(model, tokens, 0, 0, mode="vanilla_causal", bucket_width=16)
+    tokens = (np.arange(200) * 3) % 23
+    prof = run_diagnostics(model, tokens, 0, 0, mode="vanilla_causal").logit_stats
     assert prof.buckets[0].lo == 0
     for a, b in zip(prof.buckets, prof.buckets[1:]):
         assert a.hi == b.lo
-    assert prof.buckets[-1].hi > 59 - 1  # covers the max distance
-    assert sum(b.count for b in prof.buckets) == 60  # every key bucketed
+    assert all(b.hi - b.lo == 64 for b in prof.buckets)  # the default width
+    assert prof.buckets[-1].hi > 199  # covers the max distance
+    assert sum(b.count for b in prof.buckets) == 200  # every key bucketed
 
 
 def test_logit_profile_degenerate_rows():
@@ -140,7 +107,8 @@ def test_logit_profile_degenerate_rows():
     model = small_model()
     for i in range(model.config.n_layers):
         model.params[f"layer{i}/attn/wq"][:] = 0.0
-    prof = logit_profile(model, np.arange(40) % 23, 1, 1, mode="vanilla_causal")
+    report = run_diagnostics(model, np.arange(40) % 23, 1, 1, mode="vanilla_causal")
+    prof = report.logit_stats
     for b in prof.buckets:
         if b.count:
             assert b.absmax == pytest.approx(b.mean, abs=1e-12) == pytest.approx(0.0)
@@ -150,7 +118,7 @@ def test_logit_profile_degenerate_rows():
 def test_logit_profile_lambda_distances_clamped():
     model = small_model()
     tokens = (np.arange(100) * 7 + 2) % 23
-    prof = logit_profile(model, tokens, 0, 0, mode="lambda")
+    prof = run_diagnostics(model, tokens, 0, 0, mode="lambda").logit_stats
     # far branch contributes exactly the clamp distance; buckets past it empty
     top = model.config.l_pretrain
     for b in prof.buckets:
@@ -170,9 +138,9 @@ def test_pca_matches_svd_oracle():
     xc = x - x.mean(axis=0)
     _, svals, vt = np.linalg.svd(xc, full_matrices=False)
     for ci in range(2):
-        assert abs(float(proj.components[ci] @ vt[ci])) == pytest.approx(1.0, abs=1e-5)
+        assert abs(float(proj.components[ci] @ vt[ci])) == pytest.approx(1.0, abs=1e-10)
     ratios = svals**2 / (svals**2).sum()
-    np.testing.assert_allclose(proj.explained_variance, ratios[:2], atol=1e-6)
+    np.testing.assert_allclose(proj.explained_variance, ratios[:2], rtol=0, atol=1e-10)
     assert proj.explained_variance[0] >= proj.explained_variance[1]
     assert not proj.degenerate
 
@@ -181,7 +149,7 @@ def test_pca_components_orthonormal():
     stream = SplitMix64(12)
     proj = project_states(stream.normal((30, 6)))
     g = proj.components @ proj.components.T
-    np.testing.assert_allclose(g, np.eye(2), atol=1e-5)
+    np.testing.assert_allclose(g, np.eye(2), rtol=0, atol=1e-10)
 
 
 def test_pca_order_invariance_up_to_sign():
@@ -191,8 +159,8 @@ def test_pca_order_invariance_up_to_sign():
     a = project_states(x)
     b = project_states(x[perm])
     # components identical (sign fixed deterministically), coords permuted
-    np.testing.assert_allclose(a.components, b.components, atol=1e-6)
-    np.testing.assert_allclose(a.coords[perm], b.coords, atol=1e-6)
+    np.testing.assert_allclose(a.components, b.components, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(a.coords[perm], b.coords, rtol=0, atol=1e-10)
 
 
 def test_pca_collinear_is_degenerate_rank_one():
@@ -212,10 +180,10 @@ def test_pca_constant_input_degenerate():
 
 def test_position_projection_validation():
     model = small_model()
-    with pytest.raises(ValueError):
-        position_projection(model, np.arange(10) % 23, layer=7)
-    with pytest.raises(ValueError):
-        position_projection(model, [1, 2], layer=0)
+    with pytest.raises(ValueError, match="layer 7"):
+        run_diagnostics(model, np.arange(10) % 23, layer=7)
+    with pytest.raises(ValueError, match="at least 3 tokens"):
+        run_diagnostics(model, [1, 2], layer=0)
 
 
 def test_position_separation_helper():
@@ -267,31 +235,49 @@ def test_run_diagnostics_and_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
 def test_run_diagnostics_equals_separate_calls(monkeypatch, mode):
-    # One traced pass gives exactly what the three separate passes give.
+    # One traced pass, and the report holds exactly what each measurement
+    # computed on its own from that pass's trace gives.
     import lm_infinite.diagnostics as diagnostics
 
     model = small_model()
-    tokens = (np.arange(40) * 5 + 1) % 23
-    calls = []
+    tokens = (np.arange(150) * 5 + 1) % 23
+    traces = []
     real = diagnostics.forward_traced
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
+    def recording(*args, **kwargs):
+        logits, trace = real(*args, **kwargs)
+        traces.append(trace)
+        return logits, trace
 
-    monkeypatch.setattr(diagnostics, "forward_traced", counting)
-    report = run_diagnostics(model, tokens, layer=1, head=1, mode=mode, pca_layer=0)
-    assert len(calls) == 1
+    monkeypatch.setattr(diagnostics, "forward_traced", recording)
+    report = run_diagnostics(model, tokens, layer=1, head=1, mode=mode)
+    assert len(traces) == 1
+    trace = traces[0]
 
-    profile = logit_profile(model, tokens, 1, 1, mode=mode)
-    curve = entropy_curve(model, tokens, mode=mode)
-    proj = position_projection(model, tokens, 0, mode=mode)
-    assert repr(report.logit_stats) == repr(profile)
-    assert report.logit_bound == profile.bound
-    assert np.array_equal(report.entropy_curve.lengths, curve.lengths)
-    assert np.array_equal(report.entropy_curve.entropy, curve.entropy)
-    for field in ("positions", "coords", "explained_variance", "components"):
-        assert np.array_equal(
-            getattr(report.pca_projection, field), getattr(proj, field)
-        ), field
-    assert report.pca_projection.degenerate == proj.degenerate
+    entropy = np.stack(trace.entropy)
+    assert np.array_equal(report.entropy_curve.entropy, entropy)
+    assert np.array_equal(report.entropy_curve.lengths, np.arange(1, 151))
+
+    logits, dist = trace.last_logits[1][1], trace.last_distances[1]
+    assert report.logit_bound == report.logit_stats.bound == np.abs(logits).max()
+    buckets = report.logit_stats.buckets
+    assert [b.lo for b in buckets] == list(range(0, int(dist.max()) + 1, 64))
+    for b in buckets:
+        sel = logits[(dist >= b.lo) & (dist < b.hi)]
+        assert b.count == sel.size
+        if sel.size:
+            assert (b.min, b.max, b.mean, b.absmax) == (
+                sel.min(), sel.max(), sel.mean(), np.abs(sel).max()
+            )
+
+    proj = report.pca_projection
+    states = trace.hidden[1]
+    assert np.array_equal(proj.coords, project_states(states).coords)
+    centered = states - states.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    signs = np.sign(np.sum(vt[:2] * proj.components, axis=1))
+    np.testing.assert_allclose(proj.components, vt[:2] * signs[:, None], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        proj.explained_variance, svals[:2] ** 2 / (svals**2).sum(), rtol=0, atol=1e-10
+    )
+    assert not proj.degenerate

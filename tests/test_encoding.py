@@ -14,19 +14,21 @@ from lm_infinite.encoding import (
     default_alibi_slopes,
     rope_cos_sin,
     rope_logit,
-    rope_rotate,
 )
 from lm_infinite.masking import MaskParams, effective_distance
+
+
+def rotate(x, position, params):
+    """Rotate x to an absolute position, as the model does."""
+    return apply_rotation_f64(np.asarray(x, dtype=np.float64), *rope_cos_sin(position, params))
 
 
 def full_logit_oracle(q, k, i, j, params):
     """Rotate BOTH sides to absolute positions, then dot: the unmodified
     encoding a short-sequence model would use."""
-    qi = rope_rotate(q, i, params)
-    kj = rope_rotate(k, j, params)
-    return float(np.dot(qi.astype(np.float64), kj.astype(np.float64))) / math.sqrt(
-        params.head_dim
-    )
+    qi = rotate(q, i, params)
+    kj = rotate(k, j, params)
+    return float(np.dot(qi, kj)) / math.sqrt(params.head_dim)
 
 
 def test_omegas_decreasing_unit_start():
@@ -55,17 +57,17 @@ def test_omegas_computed_once_and_read_only():
 def test_position_zero_is_identity():
     params = RopeParams(head_dim=8)
     x = np.arange(8, dtype=np.float64) - 3.5
-    out = rope_rotate(x, 0, params)
-    assert np.array_equal(out, x.astype(np.float32))
+    out = rotate(x, 0, params)
+    assert np.array_equal(out, x)
 
 
 def test_first_pair_unit_vector():
     # With head_dim=2 the only speed is omega_0=1, so (1,0) -> (cos p, sin p).
     params = RopeParams(head_dim=2)
     for p in (1, 2, 7, 100):
-        out = rope_rotate(np.array([1.0, 0.0]), p, params)
-        assert out[0] == pytest.approx(math.cos(p), abs=1e-6)
-        assert out[1] == pytest.approx(math.sin(p), abs=1e-6)
+        out = rotate(np.array([1.0, 0.0]), p, params)
+        assert out[0] == pytest.approx(math.cos(p), abs=1e-12)
+        assert out[1] == pytest.approx(math.sin(p), abs=1e-12)
 
 
 def test_norm_preserved_up_to_1e6():
@@ -73,12 +75,12 @@ def test_norm_preserved_up_to_1e6():
     rng = np.random.default_rng(101)
     for p in (0, 1, 17, 1000, 999_983, 1_000_000):
         x = rng.normal(size=64)
-        out = rope_rotate(x, p, params)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-6)
+        out = rotate(x, p, params)
+        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
 def test_relative_position_property():
-    # Logit depends only on (q, k, i - j): 100 random pairs, tol 1e-5.
+    # Logit depends only on (q, k, i - j): 100 random pairs, tol 1e-12.
     params = RopeParams(head_dim=8)
     rng = np.random.default_rng(202)
     for _ in range(100):
@@ -88,7 +90,7 @@ def test_relative_position_property():
         i = j + int(rng.integers(0, 3000))
         lhs = full_logit_oracle(q, k, i, j, params)
         rhs = rope_logit(q, k, i - j, params)
-        assert lhs == pytest.approx(rhs, abs=1e-5)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_equal_differences_give_equal_logits():
@@ -99,7 +101,7 @@ def test_equal_differences_give_equal_logits():
     base = full_logit_oracle(q, k, 40, 10, params)
     for shift in (1, 5, 123, 4096):
         assert full_logit_oracle(q, k, 40 + shift, 10 + shift, params) == pytest.approx(
-            base, abs=1e-5
+            base, abs=1e-12
         )
 
 
@@ -109,7 +111,7 @@ def test_rope_logit_dist_zero_is_scaled_dot():
     q = rng.normal(size=8)
     k = rng.normal(size=8)
     assert rope_logit(q, k, 0, params) == pytest.approx(
-        float(q @ k) / math.sqrt(8), abs=1e-6
+        float(q @ k) / math.sqrt(8), abs=1e-12
     )
 
 
@@ -126,7 +128,7 @@ def test_rope_logit_matches_full_rotation_below_clamp():
         d = effective_distance(i, j, mask_params)
         assert d == i - j
         assert rope_logit(q, k, d, params) == pytest.approx(
-            full_logit_oracle(q, k, i, j, params), abs=1e-6
+            full_logit_oracle(q, k, i, j, params), abs=1e-12
         )
 
 
@@ -181,16 +183,6 @@ def test_complex_rotation_equals_pair_formula(layout, sign):
     assert np.array_equal(x, before)
 
 
-def test_rope_rotate_still_returns_float32():
-    params = RopeParams(head_dim=8)
-    x = np.arange(24, dtype=np.float32).reshape(3, 8)
-    out = rope_rotate(x, 17, params)
-    assert out.dtype == np.float32 and out.shape == (3, 8)
-    cos, sin = rope_cos_sin(17, params)
-    want = pair_formula(x.astype(np.float64), cos, sin)
-    np.testing.assert_allclose(out, want, rtol=1e-6)
-
-
 def test_rope_validation():
     with pytest.raises(ValueError):
         RopeParams(head_dim=7)
@@ -199,10 +191,6 @@ def test_rope_validation():
     with pytest.raises(ValueError):
         RopeParams(head_dim=8, base=-1.0)
     params = RopeParams(head_dim=8)
-    with pytest.raises(ValueError):
-        rope_rotate(np.zeros(7), 3, params)
-    with pytest.raises(ValueError):
-        rope_rotate(np.zeros(8), -1, params)
     with pytest.raises(ValueError):
         rope_logit(np.zeros(8), np.zeros(6), 1, params)
 
@@ -219,7 +207,7 @@ def test_alibi_logit_dist_zero():
     rng = np.random.default_rng(301)
     q = rng.normal(size=16)
     k = rng.normal(size=16)
-    assert alibi_logit(q, k, 0, 0.5) == pytest.approx(float(q @ k) / 4.0, abs=1e-6)
+    assert alibi_logit(q, k, 0, 0.5) == pytest.approx(float(q @ k) / 4.0, abs=1e-12)
 
 
 def test_alibi_logit_forced_value():

@@ -197,6 +197,16 @@ def test_truncation_rejects_window_beyond_train_len():
         truncation_baseline(model, [np.arange(64) % 31], window_w=17, total_gen=4)
 
 
+@pytest.mark.parametrize("prompt_len", [0, -3])
+def test_truncation_rejects_nonpositive_prompt_len(prompt_len):
+    # -3 would otherwise prompt with seq[:-3] and score against seq[-3:-1].
+    model = zeroed_head_model()
+    with pytest.raises(ValueError, match="prompt_len"):
+        truncation_baseline(
+            model, [np.arange(64) % 31], window_w=8, total_gen=2, prompt_len=prompt_len
+        )
+
+
 def test_truncation_op_count_formula():
     model = zeroed_head_model()
     cfg = model.config
