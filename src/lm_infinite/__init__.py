@@ -2,11 +2,7 @@
 positional encodings, a bounded streaming KV cache, a small trainable
 decoder-only transformer, and evaluation/diagnostics utilities."""
 
-from lm_infinite.attention import (
-    AttentionConfig,
-    attend,
-    attend_single,
-)
+from lm_infinite.attention import AttentionConfig, attend
 from lm_infinite.corpus import (
     SENTENCE_SEP,
     SyntheticLanguage,
@@ -82,7 +78,6 @@ __all__ = [
     "TrainingDivergedError",
     "TrainResult",
     "attend",
-    "attend_single",
     "bench",
     "bleu",
     "build_mask",

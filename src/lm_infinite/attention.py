@@ -27,10 +27,8 @@ slope * min(i - j, l_pretrain).
 ``attend`` returns the values and a stash of each block's weights;
 ``attend_backward`` walks the same blocks, and diagnostics read row
 entropies, single rows and the last row's logits off the same stash.
-Leading batch axes broadcast. ``attend_single`` scores one decode step
-against a KvCache with the same logit and softmax code; the cache stores
-each far key when its pinned token is pushed, so a step costs one cos/sin
-of its own position and no other trig. Everything runs in float64.
+Leading batch axes broadcast. ``KvCache.attend`` scores one decode step
+with the same logit and softmax code. Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -46,8 +44,7 @@ from lm_infinite.encoding import (
     apply_rotation_f64,
     rope_cos_sin,
 )
-from lm_infinite.errors import CacheStateError, NanDetectedError
-from lm_infinite.kv_cache import KvCache
+from lm_infinite.errors import NanDetectedError
 from lm_infinite.masking import MaskParams
 
 MODES = ("vanilla_causal", "lambda")
@@ -319,55 +316,3 @@ def attend(q_seq, k_seq, v_seq, config: AttentionConfig):
 def attend_backward(stash, d_values):
     """Gradients of attend w.r.t. (q, k, v)."""
     return _backward(stash, np.asarray(d_values, dtype=np.float64))
-
-
-def attend_single(
-    q, k_self, v_self, cache: KvCache, config: AttentionConfig, *, position: int
-) -> np.ndarray:
-    """One decode step at ``position``: push the token, then attend.
-
-    The token's key/value go into the cache first (RoPE keys rotated to
-    their own position), so the stored entries are exactly the mask row of
-    ``position``: the pinned prefix plus the window in lambda mode, every
-    earlier position in vanilla mode. A pinned token under RoPE also
-    stores its far key R(-l_pretrain) k. Every stored entry is scored with
-    the kernel's logit and softmax code, and the result matches the
-    corresponding attend() row to numerical precision. The only trig is
-    one cos/sin of ``position``, whatever the cache holds.
-    """
-    if position != cache.next_position:
-        raise CacheStateError(
-            f"query position {position} does not match cache next_position "
-            f"{cache.next_position}"
-        )
-    vanilla = config.mode == "vanilla_causal"
-    if (cache.params is None) != vanilla:
-        raise ValueError(
-            f"{config.mode} attention needs a "
-            f"{'growing KvCache(None)' if vanilla else 'bounded KvCache(mask_params)'}"
-        )
-    n_heads, head_dim = config.n_heads, config.head_dim
-    q = np.asarray(q, dtype=np.float64).reshape(n_heads, head_dim)
-    k_self = np.asarray(k_self, dtype=np.float64).reshape(n_heads, head_dim)
-    v_self = np.asarray(v_self, dtype=np.float64).reshape(n_heads, head_dim)
-    _check_nan(q[None], k_self[None], v_self[None], position)
-    G, _, clamp = _window(config, position + 1)
-
-    q = q[:, None, :]  # (n_heads, 1, head_dim): one query row
-    qn, kn, far = q, k_self, None
-    if config.is_rope:
-        cos, sin = rope_cos_sin(position, config.encoding)
-        qn = apply_rotation_f64(q, cos, sin)
-        kn = apply_rotation_f64(k_self, cos, sin)
-    cache.push(kn, v_self)
-    if config.is_rope and G:
-        if position < G:
-            cos, sin = rope_cos_sin(clamp, config.encoding)
-            cache.far_keys[position] = apply_rotation_f64(k_self, cos, -sin)
-        if position > clamp:
-            # Pinned entries lead the slots, so far key row j is column j.
-            far = (q, np.swapaxes(cache.far_keys, 0, 1))
-    dist = position - cache.positions
-    z = _logits(qn, np.swapaxes(cache.keys, 0, 1), dist[None, :], config, clamp, far)
-    w = _softmax(z)
-    return (w @ np.swapaxes(cache.values, 0, 1)).reshape(-1)

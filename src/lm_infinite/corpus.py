@@ -54,7 +54,7 @@ def _parse_text(blob: bytes, path: str) -> list:
             continue
         ids = []
         for tok in line.split():
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: bad token {tok!r} (unsigned decimal required)"
                 )

@@ -3,8 +3,7 @@
 Both metrics operate on integer token streams — no tokenizer, casing, or
 stemming. Sentence boundaries for ROUGE-LSum are marked by the reserved
 separator id (see corpus.SENTENCE_SEP); the separator itself is never
-scored. BLEU is the textbook formula with no smoothing by default; pass
-smooth=True for add-one smoothing on very short continuations.
+scored. BLEU is the textbook formula, with no smoothing.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate, reference, max_n: int = 4, smooth: bool = False) -> float:
+def bleu(candidate, reference, max_n: int = 4) -> float:
     """Clipped n-gram precision BLEU with brevity penalty.
 
     Geometric mean of precisions for n = 1..max_n times
-    exp(min(0, 1 - |ref|/|cand|)). Zero if any precision is zero and
-    smoothing is off; add-one smoothing replaces each precision with
-    (hits+1)/(total+1).
+    exp(min(0, 1 - |ref|/|cand|)). Zero if any precision is zero.
 
     Worked example: candidate [1, 2, 3, 4, 9, 9] against reference
     [1, 2, 3, 4, 5, 6] with max_n=2. Unigram hits are 4 of 6 (the two 9s
@@ -51,13 +48,9 @@ def bleu(candidate, reference, max_n: int = 4, smooth: bool = False) -> float:
         want = _ngrams(ref, n)
         hits = sum(min(c, want[g]) for g, c in got.items())
         total = sum(got.values())
-        if smooth:
-            p = (hits + 1) / (total + 1)
-        else:
-            if hits == 0:
-                return 0.0
-            p = hits / total
-        log_sum += math.log(p)
+        if hits == 0:
+            return 0.0
+        log_sum += math.log(hits / total)
     brevity = min(0.0, 1.0 - len(ref) / len(cand))
     return math.exp(log_sum / max_n + brevity)
 

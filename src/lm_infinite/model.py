@@ -29,13 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from lm_infinite.attention import (
-    MODES,
-    AttentionConfig,
-    attend,
-    attend_backward,
-    attend_single,
-)
+from lm_infinite.attention import AttentionConfig, attend, attend_backward
 from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
@@ -73,22 +67,22 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_heads", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if (self.d_model // self.n_heads) % 2 != 0:
-            raise ValueError("head_dim must be even for rotary pairs")
         if self.train_len < 8:
             raise ValueError("train_len must be >= 8")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        # Delegate mask validation early so bad configs fail at construction.
-        self.mask_params  # noqa: B018
+        # The attention, mask and encoding configs check head_dim, mode,
+        # window sizes and rope_base, so a bad config fails at construction.
+        self.attention_for(self.mode)
 
     @property
     def head_dim(self) -> int:
@@ -320,8 +314,9 @@ def forward_traced(model: ToyModel, tokens, mode: str | None = None):
     return logits, trace
 
 
-def _loss_and_grads(model, ids, att_config):
-    """Mean next-token NLL over all positions, plus parameter gradients.
+def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
+    """Mean next-token NLL over all positions of a batch (batch, seq_len) or
+    a single sequence (seq_len,), plus parameter gradients.
 
     The forward runs over the input rows ids[..., :-1] only; ids[..., 1:]
     are their targets. A batch runs as micro-batches of whole sequences,
@@ -329,6 +324,10 @@ def _loss_and_grads(model, ids, att_config):
     stay in cache; the gradients of the chunks add up in place. A single
     sequence, or a batch of at most MICRO_BATCH_ROWS rows, is one chunk.
     """
+    ids = _check_ids(tokens, model.config.vocab_size)
+    if ids.shape[-1] < 2:
+        raise ValueError("need at least 2 tokens to form a prediction target")
+    att_config = model.config.attention_for(mode or model.config.mode)
     n_pred = ids[..., 1:].size
     per_chunk = max(1, MICRO_BATCH_ROWS // (ids.shape[-1] - 1))
     chunks = [ids] if ids.ndim == 1 else [
@@ -420,16 +419,6 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
     return -picked.sum()
 
 
-def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
-    """Public wrapper: mean next-token NLL and gradients for a batch
-    (batch, seq_len) or single sequence (seq_len,)."""
-    ids = _check_ids(tokens, model.config.vocab_size)
-    if ids.ndim == 1 and ids.size < 2 or ids.ndim == 2 and ids.shape[1] < 2:
-        raise ValueError("need at least 2 tokens to form a prediction target")
-    att_config = model.config.attention_for(mode or model.config.mode)
-    return _loss_and_grads(model, ids, att_config)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -473,8 +462,7 @@ def train(
         raise ValueError(f"bad batch_shape {batch_shape}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    att_config = cfg.attention_for("vanilla_causal")
-    eligible = [np.asarray(s) for s in corpus if len(s) >= seq_len + 1]
+    eligible = [_check_ids(s, cfg.vocab_size) for s in corpus if len(s) >= seq_len + 1]
     if steps > 0 and not eligible:
         raise ValueError(
             f"corpus has no sequence of length >= {seq_len + 1} to train on"
@@ -495,7 +483,7 @@ def train(
             rows.append(seq[off : off + seq_len + 1])
         ids = np.stack(rows)
         try:
-            loss, grads = _loss_and_grads(model, ids, att_config)
+            loss, grads = loss_and_grads(model, ids, mode="vanilla_causal")
         except NanDetectedError as exc:
             raise TrainingDivergedError(f"diverged at step {step}: {exc}") from None
         if not np.isfinite(loss):
@@ -529,9 +517,9 @@ class DecodeSession:
     """Streaming per-token decoding state for one sequence.
 
     step() runs the model's one layer stack (``_forward``) on a single
-    token; only its attention differs from a full forward: attend_single
-    on the layer's KvCache at the session's position. Each cache follows
-    the session's mode: bounded to the pinned prefix plus the window in
+    token; only its attention differs from a full forward: each layer's
+    KvCache.attend. Every cache is built from the session's one
+    AttentionConfig: bounded to the pinned prefix plus the window in
     lambda mode, growing without bound in vanilla mode (the quadratic
     baseline).
     """
@@ -539,24 +527,31 @@ class DecodeSession:
     def __init__(self, model: ToyModel, mode: str | None = None):
         self.model = model
         self.mode = mode or model.config.mode
-        self.att_config = model.config.attention_for(self.mode)
         self.position = 0
-        params = model.config.mask_params if self.mode == "lambda" else None
-        self.layer_caches = [KvCache(params) for _ in range(model.config.n_layers)]
+        att_config = model.config.attention_for(self.mode)
+        self.layer_caches = [KvCache(att_config) for _ in range(model.config.n_layers)]
 
     def peak_cache_entries(self) -> int:
         return max(len(c) for c in self.layer_caches)
 
     def step(self, token: int) -> np.ndarray:
-        """Consume one token, return next-position logits (vocab,)."""
+        """Consume one token, return next-position logits (vocab,).
+
+        A step that raised after some layer had pushed its token leaves the
+        caches out of step with each other; every later step then raises
+        CacheStateError.
+        """
         token = int(token)
         if not 0 <= token < self.model.config.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary")
+        if any(c.next_position != self.position for c in self.layer_caches):
+            raise CacheStateError(
+                f"layer caches are not at session position {self.position}: "
+                "an earlier step failed part-way"
+            )
 
         def attn(i, q, k, v):
-            cache = self.layer_caches[i]
-            out = attend_single(q, k, v, cache, self.att_config, position=self.position)
-            return out.reshape(q.shape)
+            return self.layer_caches[i].attend(q, k, v).reshape(q.shape)
 
         logits = _forward(self.model, token, attn, position=self.position)
         self.position += 1

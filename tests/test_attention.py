@@ -5,9 +5,9 @@ so the O(n) range-based implementation is held against the formula itself."""
 import numpy as np
 import pytest
 
-from lm_infinite.attention import AttentionConfig, attend, attend_backward, attend_single
+from lm_infinite.attention import AttentionConfig, attend, attend_backward
 from lm_infinite.encoding import AlibiParams, RopeParams, alibi_logit, rope_logit
-from lm_infinite.errors import CacheStateError, NanDetectedError
+from lm_infinite.errors import NanDetectedError
 from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams, build_mask, effective_distance
 
@@ -250,7 +250,7 @@ def test_batched_matches_per_sequence():
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 def test_streaming_step_equals_full_row(kind):
-    # attend_single (which pushes the token, then attends) over 4*n_local
+    # KvCache.attend (which pushes the token, then attends) over 4*n_local
     # steps reproduces each attend() row, including the first-eviction
     # boundary at n_global + n_local.
     config = make_config("lambda", kind, n_global=2, n_local=5, l_pretrain=8)
@@ -259,37 +259,21 @@ def test_streaming_step_equals_full_row(kind):
     q, k, v = random_qkv(rng, seq_len)
     full, stash = attend(q, k, v, config)
 
-    cache = KvCache(config.mask_params)
+    cache = KvCache(config)
     for i in range(seq_len):
-        step = attend_single(q[i], k[i], v[i], cache, config, position=i)
+        step = cache.attend(q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
         assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()
 
 
 def test_attend_single_first_step_self_only():
     config = make_config("lambda", "rope")
-    cache = KvCache(config.mask_params)
+    cache = KvCache(config)
     rng = np.random.default_rng(12)
     q, k, v = (rng.normal(size=(HEADS, HEAD_DIM)) for _ in range(3))
-    step = attend_single(q, k, v, cache, config, position=0)
+    step = cache.attend(q, k, v)
     assert np.allclose(step, v.reshape(-1), atol=1e-12)
     assert cache.positions.tolist() == [0]
-
-
-def test_attend_single_contract_errors():
-    config = make_config("lambda", "rope")
-    cache = KvCache(config.mask_params)
-    rng = np.random.default_rng(13)
-    q, k, v = (rng.normal(size=(HEADS, HEAD_DIM)) for _ in range(3))
-    with pytest.raises(CacheStateError):
-        attend_single(q, k, v, cache, config, position=3)
-    # A bounded cache cannot serve vanilla attention, nor a growing one lambda.
-    vanilla = make_config("vanilla_causal", "rope")
-    with pytest.raises(ValueError):
-        attend_single(q, k, v, cache, vanilla, position=0)
-    with pytest.raises(ValueError):
-        attend_single(q, k, v, KvCache(None), config, position=0)
-    assert cache.next_position == 0 and len(cache) == 0
 
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
@@ -301,9 +285,9 @@ def test_vanilla_streaming_step_equals_full_row(kind):
     rng = np.random.default_rng(15)
     q, k, v = random_qkv(rng, seq_len)
     full, _ = attend(q, k, v, config)
-    cache = KvCache(None)
+    cache = KvCache(config)
     for i in range(seq_len):
-        step = attend_single(q[i], k[i], v[i], cache, config, position=i)
+        step = cache.attend(q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
         assert np.sort(cache.positions).tolist() == list(range(i + 1))
     assert len(cache) == seq_len
@@ -467,8 +451,8 @@ def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
     rng = np.random.default_rng(19)
     q, k, v = random_qkv(rng, 17)
     full, stash = attend(q, k, v, config)
-    cache = KvCache(config.mask_params)
+    cache = KvCache(config)
     for i in range(17):
-        step = attend_single(q[i], k[i], v[i], cache, config, position=i)
+        step = cache.attend(q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-12)
         assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()

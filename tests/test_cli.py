@@ -218,6 +218,31 @@ def test_train_rejects_nonpositive_counts(flag, value, tmp_path, capsys):
     assert not out.exists()  # nothing written, not even an untrained model
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-heads", "0", "n_heads must be >= 1, got 0"),
+    ("--n-layers", "0", "n_layers must be >= 1, got 0"),
+    ("--rope-base", "nan", "base must be positive and finite, got nan"),
+])
+def test_train_rejects_broken_model_config(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", *TINY, "--steps", "1", "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_rejects_out_of_vocabulary_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(" ".join(["300"] * 40) + "\n")
+    rc = cli.main(["train", *TINY, "--steps", "1", "--batch", "2",
+                   "--corpus", str(corpus), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "token id 300 outside vocabulary of size 31" in err
+    assert "Traceback" not in err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("steps=5\nlr=0.01\nd-model=16\n")

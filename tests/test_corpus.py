@@ -75,6 +75,15 @@ def test_text_rejects_negative_and_overflow(tmp_path):
     assert "u32" in str(exc.value)
 
 
+@pytest.mark.parametrize("tok", ["\u0661", "\u00b2"])  # Arabic-Indic one, superscript two
+def test_text_rejects_non_ascii_digits(tok, tmp_path):
+    path = tmp_path / "digits.txt"
+    path.write_text(f"1 2\n3 {tok} 4\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        load_corpus(path)
+    assert f"{path}: line 2: bad token {tok!r}" in str(exc.value)
+
+
 def test_binary_truncation_names_byte_offset(tmp_path):
     path = tmp_path / "t.lmts"
     save_corpus([np.arange(10, dtype=np.uint32)], path, binary=True)

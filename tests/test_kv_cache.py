@@ -4,9 +4,8 @@ read through the cache's array views."""
 import numpy as np
 import pytest
 
-from lm_infinite.attention import AttentionConfig, attend, attend_single
+from lm_infinite.attention import AttentionConfig, attend
 from lm_infinite.encoding import RopeParams
-from lm_infinite.errors import CacheStateError
 from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams
 
@@ -18,8 +17,12 @@ def reference_positions(n_pushed, n_global, n_local):
     return pinned + rest[-n_local:]
 
 
+def make_cache(params, mode="lambda"):
+    return KvCache(AttentionConfig(2, 4, params, RopeParams(head_dim=4), mode))
+
+
 def fill(params, n, dim=3):
-    cache = KvCache(params)
+    cache = make_cache(params)
     for t in range(n):
         cache.push(np.full(dim, float(t)), np.full(dim, float(-t)))
     return cache
@@ -78,32 +81,27 @@ def test_slot_layout_pinned_then_ring():
 
 def test_empty_cache_visible_is_empty():
     params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
-    cache = KvCache(params)
+    cache = make_cache(params)
     assert len(cache) == 0
     assert cache.positions.size == 0
     assert cache.keys.shape[0] == 0 and cache.values.shape[0] == 0
 
 
-def _tiny_attention(params):
-    return AttentionConfig(2, 4, params, RopeParams(head_dim=4), "lambda")
-
-
 def test_query_inside_pinned_prefix_sees_everything_once():
     params = MaskParams(n_global=6, n_local=3, l_pretrain=16)
-    config = _tiny_attention(params)
-    cache = KvCache(params)
+    cache = make_cache(params)
     rng = np.random.default_rng(0)
     qkv = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
-    for t, (q, k, v) in enumerate(qkv):
-        step = attend_single(q, k, v, cache, config, position=t)
+    for q, k, v in qkv:
+        step = cache.attend(q, k, v)
     assert np.sort(cache.positions).tolist() == [0, 1, 2, 3, 4]
-    full, _ = attend(*np.stack(qkv, axis=1), config)
+    full, _ = attend(*np.stack(qkv, axis=1), cache.config)
     assert np.allclose(step, full[4].reshape(-1), atol=1e-10)
 
 
 def test_memory_bound_over_long_fuzz():
     params = MaskParams(n_global=3, n_local=7, l_pretrain=64)
-    cache = KvCache(params)
+    cache = make_cache(params)
     cap = params.n_global + params.n_local
     for t in range(100_000):
         cache.push(np.array([float(t)]), np.array([float(t)]))
@@ -113,7 +111,7 @@ def test_memory_bound_over_long_fuzz():
 
 
 def test_vanilla_cache_grows_and_never_evicts():
-    cache = KvCache(None)
+    cache = make_cache(MaskParams(n_global=2, n_local=3, l_pretrain=8), "vanilla_causal")
     for t in range(100):
         cache.push(np.array([float(t)]), np.array([float(-t)]))
         assert len(cache) == t + 1
@@ -130,22 +128,9 @@ def test_eviction_determinism():
     assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
 
 
-def test_query_position_contract():
-    params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
-    config = _tiny_attention(params)
-    cache = KvCache(params)
-    rng = np.random.default_rng(1)
-    for t in range(5):
-        attend_single(*rng.normal(size=(3, 2, 4)), cache, config, position=t)
-    for wrong in (4, 6):
-        with pytest.raises(CacheStateError):
-            attend_single(*rng.normal(size=(3, 2, 4)), cache, config, position=wrong)
-    assert cache.next_position == 5
-
-
 def test_shape_mismatch_rejected():
     params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
-    cache = KvCache(params)
+    cache = make_cache(params)
     with pytest.raises(ValueError):
         cache.push(np.zeros(3), np.zeros(4))
     cache.push(np.zeros(3), np.zeros(3))

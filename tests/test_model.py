@@ -290,6 +290,16 @@ def test_train_requires_long_enough_sequences():
         train(model, [np.arange(5, dtype=np.uint32)], steps=1, batch_shape=(2, 16))
 
 
+def test_train_rejects_out_of_vocabulary_ids_before_any_step(tiny_corpus):
+    model = init(tiny_config())
+    before = model.copy()
+    corpus = [*tiny_corpus, np.full(40, 300, dtype=np.uint32)]
+    with pytest.raises(ValueError, match="token id 300 outside vocabulary of size 31"):
+        train(model, corpus, steps=3, batch_shape=(2, 16))
+    for name, arr in before.params.items():
+        assert np.array_equal(model.params[name], arr), name
+
+
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -399,13 +409,45 @@ def test_decode_nan_in_attention_input_names_forward_row(position):
     assert str(step.value) == str(full.value)
 
 
+def test_step_failing_after_a_push_fails_every_later_step():
+    # NaN after layer 0's attention: layer 0 has pushed the token, layer 1
+    # has not, so the session refuses to go on.
+    model = init(tiny_config())
+    sess = DecodeSession(model, "lambda")
+    sess.step(1)
+    wo = model.params["layer0/attn/wo"].copy()
+    model.params["layer0/attn/wo"][:] = np.nan
+    with pytest.raises(NanDetectedError):
+        sess.step(2)
+    model.params["layer0/attn/wo"][:] = wo
+    for _ in range(2):
+        with pytest.raises(CacheStateError, match="position 1"):
+            sess.step(2)
+
+
+def test_step_failing_in_layer0_input_check_keeps_session_usable():
+    # A NaN embedding row fails layer 0's input check before any push: the
+    # session goes on as if the token had never been fed.
+    model = init(tiny_config())
+    model.params["embedding"][7] = np.nan
+    sess = DecodeSession(model, "lambda")
+    sess.step(1)
+    with pytest.raises(NanDetectedError):
+        sess.step(7)
+    assert sess.position == 1
+    fresh = DecodeSession(model, "lambda")
+    fresh.step(1)
+    for t in (2, 3):
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+
+
 def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
     # Past the clamp, a RoPE step rotates only its query and its own key in
     # each layer: far pinned keys are stored once, so no per-step rotation
     # grows with n_global.
-    import lm_infinite.attention as attention
+    import lm_infinite.kv_cache as kv_cache
 
-    rotate = attention.apply_rotation_f64
+    rotate = kv_cache.apply_rotation_f64
     rows = []
 
     def counting(x, cos, sin):
@@ -419,9 +461,9 @@ def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
         while sess.position <= cfg.l_pretrain + n_global + 1:
             sess.step(sess.position % 31)
         rows.clear()
-        monkeypatch.setattr(attention, "apply_rotation_f64", counting)
+        monkeypatch.setattr(kv_cache, "apply_rotation_f64", counting)
         sess.step(3)
-        monkeypatch.setattr(attention, "apply_rotation_f64", rotate)
+        monkeypatch.setattr(kv_cache, "apply_rotation_f64", rotate)
         counts[n_global] = sum(rows)
     assert counts == {g: 2 * 2 * 2 for g in (0, 4, 16)}  # (q, k) x heads x layers
 
@@ -506,6 +548,29 @@ def test_load_rejects_unknown_config_key_and_tensor(tmp_path):
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode must be one of"):
         tiny_config(mode="lambdX")
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(n_heads=0), "n_heads must be >= 1"),
+    (dict(n_heads=-4), "n_heads must be >= 1"),
+    (dict(n_layers=0), "n_layers must be >= 1"),
+    (dict(d_model=0), "head_dim must be even and >= 2"),
+    (dict(d_model=6, n_heads=2), "head_dim must be even and >= 2"),
+    (dict(rope_base=-1.0), "base must be positive and finite"),
+    (dict(rope_base=float("nan")), "base must be positive and finite"),
+])
+def test_config_rejects_broken_values_at_construction(over, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_config(**over)
+
+
+def test_load_rejects_broken_config_block_names_path(tmp_path):
+    path = tmp_path / "m.lmtm"
+    save_model(init(tiny_config()), path)
+    path.write_bytes(path.read_bytes().replace(b"n_heads=2", b"n_heads=0"))
+    with pytest.raises(ValueError, match="n_heads must be >= 1") as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: bad config:")
 
 
 def test_copy_is_independent():
