@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Streaming decode with a bounded KV cache.
 
-A DecodeSession feeds tokens one at a time. In lambda mode the per-layer
-cache holds at most n_global + n_local entries no matter how long the
+A DecodeSession feeds tokens one at a time. In lambda mode its cache
+holds at most n_global + n_local entries per layer no matter how long the
 stream runs, and every step reproduces exactly what a full forward pass
 over the whole history would produce at that position.
 """

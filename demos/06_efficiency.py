@@ -45,7 +45,7 @@ naive = vanilla_op_count(model, context_len=window, total_gen=total_gen,
 print(f"\ngenerating {total_gen} tokens from {trunc.n_sequences} prompts:")
 print(f"    re-encode a {window}-token window each step: "
       f"{trunc.op_count:10d} attention cells")
-print(f"    growing vanilla cache, same start:           "
+print(f"    re-encode the whole context each step:       "
       f"{naive:10d} attention cells")
 print(f"    lambda bounded cache:                        "
       f"{trunc.lambda_op_count:10d} attention cells")

@@ -135,8 +135,10 @@ def _logits(qn, kn, dist, config, clamp, far=None):
     z = qn @ np.swapaxes(kn, -1, -2)
     z *= scale
     if not config.is_rope:
-        slopes = np.asarray(config.encoding.slopes, dtype=np.float64)[:, None, None]
-        z -= slopes * (dist if clamp is None else np.minimum(dist, clamp))
+        # Per head, so that no (H, rows, keys) temporary sits next to z.
+        d = dist if clamp is None else np.minimum(dist, clamp)
+        for h, slope in enumerate(config.encoding.slopes):
+            z[..., h, :, :] -= slope * d
         return z
     if far is not None:
         qf, kf = far

@@ -196,8 +196,9 @@ def _load_corpus(path):
 
 
 def _cmd_train(cfg) -> int:
-    if cfg["steps"] < 1:
-        raise ValueError(f"--steps must be >= 1, got {cfg['steps']}")
+    for name in ("steps", "batch"):
+        if cfg[name] < 1:
+            raise ValueError(f"--{name} must be >= 1, got {cfg[name]}")
     if cfg["synthetic_length"] is not None and cfg["synthetic_length"] < 1:
         raise ValueError(
             f"--synthetic-length must be >= 1, got {cfg['synthetic_length']}"
@@ -219,10 +220,13 @@ def _cmd_train(cfg) -> int:
         save_corpus(corpus, out / "corpus.txt")
 
     model = init(model_config)
-    result = train(
-        model, corpus, steps=cfg["steps"], lr=cfg["lr"],
-        batch_shape=(cfg["batch"], None), seed=cfg["seed"],
-    )
+    try:
+        result = train(
+            model, corpus, steps=cfg["steps"], lr=cfg["lr"],
+            batch_shape=(cfg["batch"], None), seed=cfg["seed"],
+        )
+    except ValueError as exc:  # steps and batch are checked: the corpus is at fault
+        raise ValueError(f"{cfg['corpus'] or out / 'corpus.txt'}: {exc}") from None
     save_model(result.model, out / "model.lmtm")
     with open(out / "loss.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss,step_seconds,grad_norm,update_norm\n")

@@ -19,7 +19,7 @@ length-generalization failure is the model's fault, not the data's.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,10 +122,6 @@ class SyntheticLanguage:
             raise ValueError("degenerate language parameters")
         if not 0.0 <= self.noise < 1.0 or not 0.0 < self.p_stay <= 1.0:
             raise ValueError("p_stay must be in (0,1], noise in [0,1)")
-
-    def deterministic(self) -> "SyntheticLanguage":
-        """Noise-free, never-jumping variant: one global periodic string."""
-        return replace(self, p_stay=1.0, noise=0.0)
 
     def motifs(self) -> np.ndarray:
         stream = SplitMix64(derive_stream(self.seed, "synthetic-corpus/motifs"))

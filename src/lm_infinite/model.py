@@ -7,7 +7,7 @@ float64 numpy; gradients are hand-written and finite-difference checked.
 The layer stack is written once, in ``_forward``. Encode, tracing,
 training and streaming decode differ only in the attention they pass it:
 the blocked kernel (keeping its stash for the backward, or reading
-diagnostics off it), or one decode step against a KvCache.
+diagnostics off it), or one decode step against the session's KvCache.
 
 Training always runs ``vanilla_causal`` attention, whatever the model's
 mode; it equals lambda attention only when train_len <= min(n_local,
@@ -462,7 +462,13 @@ def train(
         raise ValueError(f"bad batch_shape {batch_shape}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    eligible = [_check_ids(s, cfg.vocab_size) for s in corpus if len(s) >= seq_len + 1]
+    eligible = []
+    for i, seq in enumerate(corpus):
+        if len(seq) >= seq_len + 1:
+            try:
+                eligible.append(_check_ids(seq, cfg.vocab_size))
+            except ValueError as exc:
+                raise ValueError(f"corpus sequence {i}: {exc}") from None
     if steps > 0 and not eligible:
         raise ValueError(
             f"corpus has no sequence of length >= {seq_len + 1} to train on"
@@ -517,44 +523,36 @@ class DecodeSession:
     """Streaming per-token decoding state for one sequence.
 
     step() runs the model's one layer stack (``_forward``) on a single
-    token; only its attention differs from a full forward: each layer's
-    KvCache.attend. Every cache is built from the session's one
-    AttentionConfig: bounded to the pinned prefix plus the window in
-    lambda mode, growing without bound in vanilla mode (the quadratic
+    token; only its attention differs from a full forward: the session's
+    one KvCache, which holds every layer's keys and values at one shared
+    position. The cache is bounded to the pinned prefix plus the window in
+    lambda mode and grows without bound in vanilla mode (the quadratic
     baseline).
     """
 
     def __init__(self, model: ToyModel, mode: str | None = None):
         self.model = model
         self.mode = mode or model.config.mode
-        self.position = 0
-        att_config = model.config.attention_for(self.mode)
-        self.layer_caches = [KvCache(att_config) for _ in range(model.config.n_layers)]
+        self.cache = KvCache(model.config.attention_for(self.mode), model.config.n_layers)
+
+    @property
+    def position(self) -> int:
+        return self.cache.next_position
 
     def peak_cache_entries(self) -> int:
-        return max(len(c) for c in self.layer_caches)
+        return len(self.cache)
 
     def step(self, token: int) -> np.ndarray:
         """Consume one token, return next-position logits (vocab,).
 
-        A step that raised after some layer had pushed its token leaves the
-        caches out of step with each other; every later step then raises
-        CacheStateError.
+        The position moves only once every layer has attended, so a step
+        that raised part-way can be retried or followed by another token.
         """
         token = int(token)
         if not 0 <= token < self.model.config.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary")
-        if any(c.next_position != self.position for c in self.layer_caches):
-            raise CacheStateError(
-                f"layer caches are not at session position {self.position}: "
-                "an earlier step failed part-way"
-            )
-
-        def attn(i, q, k, v):
-            return self.layer_caches[i].attend(q, k, v).reshape(q.shape)
-
-        logits = _forward(self.model, token, attn, position=self.position)
-        self.position += 1
+        logits = _forward(self.model, token, self.cache.attend, position=self.position)
+        self.cache.advance()
         return logits
 
 

@@ -57,6 +57,13 @@ def oracle_attend(q, k, v, config):
     return out.reshape(seq_len, -1), w
 
 
+def decode_step(cache, q, k, v):
+    """One step of a one-layer KvCache: attend at next_position, then advance."""
+    out = cache.attend(0, q, k, v)
+    cache.advance()
+    return out
+
+
 def random_qkv(rng, seq_len):
     shape = (seq_len, HEADS, HEAD_DIM)
     return rng.normal(size=shape), rng.normal(size=shape), rng.normal(size=shape)
@@ -250,7 +257,7 @@ def test_batched_matches_per_sequence():
 
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 def test_streaming_step_equals_full_row(kind):
-    # KvCache.attend (which pushes the token, then attends) over 4*n_local
+    # KvCache.attend (which stores the token, then attends) over 4*n_local
     # steps reproduces each attend() row, including the first-eviction
     # boundary at n_global + n_local.
     config = make_config("lambda", kind, n_global=2, n_local=5, l_pretrain=8)
@@ -259,19 +266,19 @@ def test_streaming_step_equals_full_row(kind):
     q, k, v = random_qkv(rng, seq_len)
     full, stash = attend(q, k, v, config)
 
-    cache = KvCache(config)
+    cache = KvCache(config, 1)
     for i in range(seq_len):
-        step = cache.attend(q[i], k[i], v[i])
+        step = decode_step(cache, q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
         assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()
 
 
 def test_attend_single_first_step_self_only():
     config = make_config("lambda", "rope")
-    cache = KvCache(config)
+    cache = KvCache(config, 1)
     rng = np.random.default_rng(12)
     q, k, v = (rng.normal(size=(HEADS, HEAD_DIM)) for _ in range(3))
-    step = cache.attend(q, k, v)
+    step = decode_step(cache, q, k, v)
     assert np.allclose(step, v.reshape(-1), atol=1e-12)
     assert cache.positions.tolist() == [0]
 
@@ -285,9 +292,9 @@ def test_vanilla_streaming_step_equals_full_row(kind):
     rng = np.random.default_rng(15)
     q, k, v = random_qkv(rng, seq_len)
     full, _ = attend(q, k, v, config)
-    cache = KvCache(config)
+    cache = KvCache(config, 1)
     for i in range(seq_len):
-        step = cache.attend(q[i], k[i], v[i])
+        step = decode_step(cache, q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-10), i
         assert np.sort(cache.positions).tolist() == list(range(i + 1))
     assert len(cache) == seq_len
@@ -451,8 +458,8 @@ def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
     rng = np.random.default_rng(19)
     q, k, v = random_qkv(rng, 17)
     full, stash = attend(q, k, v, config)
-    cache = KvCache(config)
+    cache = KvCache(config, 1)
     for i in range(17):
-        step = cache.attend(q[i], k[i], v[i])
+        step = decode_step(cache, q[i], k[i], v[i])
         assert np.allclose(step, full[i].reshape(-1), atol=1e-12)
         assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()

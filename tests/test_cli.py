@@ -205,7 +205,7 @@ def test_train_artifacts(trained_dir):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--steps", "0"), ("--steps", "-1"),
+    ("--steps", "0"), ("--steps", "-1"), ("--batch", "0"),
     ("--synthetic-length", "0"), ("--synthetic-length", "-5"),
 ])
 def test_train_rejects_nonpositive_counts(flag, value, tmp_path, capsys):
@@ -239,7 +239,8 @@ def test_train_rejects_out_of_vocabulary_corpus(tmp_path, capsys):
                    "--corpus", str(corpus), "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "token id 300 outside vocabulary of size 31" in err
+    # The message names the corpus file and the sequence within it.
+    assert f"{corpus}: corpus sequence 0: token id 300 outside vocabulary of size 31" in err
     assert "Traceback" not in err
 
 

@@ -1,11 +1,13 @@
 """Cache policy against a reference simulation of the retained-set formula,
-read through the cache's array views."""
+read through the cache's array views. The policy tests step a one-layer
+cache under Alibi, which stores keys unrotated, so each stored key reads
+back as the key that was stepped."""
 
 import numpy as np
 import pytest
 
 from lm_infinite.attention import AttentionConfig, attend
-from lm_infinite.encoding import RopeParams
+from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams
 
@@ -17,14 +19,23 @@ def reference_positions(n_pushed, n_global, n_local):
     return pinned + rest[-n_local:]
 
 
-def make_cache(params, mode="lambda"):
-    return KvCache(AttentionConfig(2, 4, params, RopeParams(head_dim=4), mode))
+ALIBI = AlibiParams(default_alibi_slopes(2))
 
 
-def fill(params, n, dim=3):
+def make_cache(params, mode="lambda", encoding=ALIBI):
+    return KvCache(AttentionConfig(2, 4, params, encoding, mode), 1)
+
+
+def store(cache, k, v):
+    """One step of a one-layer cache: store (k, v) at next_position."""
+    cache.attend(0, np.zeros(8), k, v)
+    cache.advance()
+
+
+def fill(params, n):
     cache = make_cache(params)
     for t in range(n):
-        cache.push(np.full(dim, float(t)), np.full(dim, float(-t)))
+        store(cache, np.full(8, float(t)), np.full(8, float(-t)))
     return cache
 
 
@@ -38,9 +49,9 @@ def test_thousand_push_example():
     assert stored(cache) == [0, 998, 999]
     # Stored vectors really are the ones pushed at those positions.
     by_pos = {int(p): i for i, p in enumerate(cache.positions)}
-    assert cache.keys[by_pos[998]][0] == 998.0
-    assert cache.values[by_pos[999]][0] == -999.0
-    assert cache.keys[by_pos[0]][0] == 0.0
+    assert cache.keys[0, by_pos[998], 0, 0] == 998.0
+    assert cache.values[0, by_pos[999], 0, 0] == -999.0
+    assert cache.keys[0, by_pos[0], 0, 0] == 0.0
 
 
 def test_exactly_at_capacity_nothing_evicted():
@@ -65,9 +76,9 @@ def test_positions_match_reference_simulation():
                     n, n_global, n_local
                 ), (n_global, n_local, n)
                 # Every view holds exactly the retained entries.
-                assert len(cache) == cache.keys.shape[0] == cache.values.shape[0]
+                assert len(cache) == cache.keys.shape[1] == cache.values.shape[1]
                 for i, p in enumerate(cache.positions):
-                    assert cache.keys[i][0] == p and cache.values[i][0] == -p
+                    assert cache.keys[0, i, 0, 0] == p and cache.values[0, i, 0, 0] == -p
 
 
 def test_slot_layout_pinned_then_ring():
@@ -76,7 +87,7 @@ def test_slot_layout_pinned_then_ring():
     params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
     cache = fill(params, 9)
     assert cache.positions.tolist() == [0, 1, 8, 6, 7]
-    assert cache.keys.shape == (5, 3)
+    assert cache.keys.shape == (1, 5, 2, 4)
 
 
 def test_empty_cache_visible_is_empty():
@@ -84,16 +95,17 @@ def test_empty_cache_visible_is_empty():
     cache = make_cache(params)
     assert len(cache) == 0
     assert cache.positions.size == 0
-    assert cache.keys.shape[0] == 0 and cache.values.shape[0] == 0
+    assert cache.keys.shape[1] == 0 and cache.values.shape[1] == 0
 
 
 def test_query_inside_pinned_prefix_sees_everything_once():
     params = MaskParams(n_global=6, n_local=3, l_pretrain=16)
-    cache = make_cache(params)
+    cache = make_cache(params, encoding=RopeParams(head_dim=4))
     rng = np.random.default_rng(0)
     qkv = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
     for q, k, v in qkv:
-        step = cache.attend(q, k, v)
+        step = cache.attend(0, q, k, v)
+        cache.advance()
     assert np.sort(cache.positions).tolist() == [0, 1, 2, 3, 4]
     full, _ = attend(*np.stack(qkv, axis=1), cache.config)
     assert np.allclose(step, full[4].reshape(-1), atol=1e-10)
@@ -104,20 +116,20 @@ def test_memory_bound_over_long_fuzz():
     cache = make_cache(params)
     cap = params.n_global + params.n_local
     for t in range(100_000):
-        cache.push(np.array([float(t)]), np.array([float(t)]))
+        store(cache, np.full(8, float(t)), np.full(8, float(t)))
         assert len(cache) <= cap
     assert stored(cache) == [0, 1, 2] + list(range(99_993, 100_000))
-    assert cache.keys.base.shape[0] == cap  # preallocated once, never regrown
+    assert cache.keys.base.shape[1] == cap  # preallocated once, never regrown
 
 
 def test_vanilla_cache_grows_and_never_evicts():
     cache = make_cache(MaskParams(n_global=2, n_local=3, l_pretrain=8), "vanilla_causal")
     for t in range(100):
-        cache.push(np.array([float(t)]), np.array([float(-t)]))
+        store(cache, np.full(8, float(t)), np.full(8, float(-t)))
         assert len(cache) == t + 1
     assert cache.positions.tolist() == list(range(100))
-    assert cache.keys[:, 0].tolist() == [float(t) for t in range(100)]
-    assert cache.values[:, 0].tolist() == [float(-t) for t in range(100)]
+    assert cache.keys[0, :, 0, 0].tolist() == [float(t) for t in range(100)]
+    assert cache.values[0, :, 0, 0].tolist() == [float(-t) for t in range(100)]
 
 
 def test_eviction_determinism():
@@ -131,8 +143,9 @@ def test_eviction_determinism():
 def test_shape_mismatch_rejected():
     params = MaskParams(n_global=1, n_local=2, l_pretrain=8)
     cache = make_cache(params)
+    # attend reshapes q, k and v to (n_heads, head_dim) = (2, 4).
     with pytest.raises(ValueError):
-        cache.push(np.zeros(3), np.zeros(4))
-    cache.push(np.zeros(3), np.zeros(3))
+        store(cache, np.zeros(8), np.zeros(7))
+    store(cache, np.zeros(8), np.zeros(8))
     with pytest.raises(ValueError):
-        cache.push(np.zeros(5), np.zeros(5))
+        store(cache, np.zeros(5), np.zeros(5))

@@ -294,7 +294,8 @@ def test_train_rejects_out_of_vocabulary_ids_before_any_step(tiny_corpus):
     model = init(tiny_config())
     before = model.copy()
     corpus = [*tiny_corpus, np.full(40, 300, dtype=np.uint32)]
-    with pytest.raises(ValueError, match="token id 300 outside vocabulary of size 31"):
+    message = f"corpus sequence {len(tiny_corpus)}: token id 300 outside vocabulary of size 31"
+    with pytest.raises(ValueError, match=message):
         train(model, corpus, steps=3, batch_shape=(2, 16))
     for name, arr in before.params.items():
         assert np.array_equal(model.params[name], arr), name
@@ -409,24 +410,31 @@ def test_decode_nan_in_attention_input_names_forward_row(position):
     assert str(step.value) == str(full.value)
 
 
-def test_step_failing_after_a_push_fails_every_later_step():
-    # NaN after layer 0's attention: layer 0 has pushed the token, layer 1
-    # has not, so the session refuses to go on.
+@pytest.mark.parametrize("mode, position", [
+    ("lambda", 1), ("lambda", 20), ("vanilla_causal", 1), ("vanilla_causal", 16),
+])
+def test_step_failing_past_layer0_keeps_session_usable(mode, position):
+    # NaN after layer 0's attention: layer 0 has stored the token, layer 1
+    # has not. The position does not move, so the next step rewrites that
+    # slot in every layer. At 20 the lambda write evicted position 4, outside
+    # the window from then on; at 16 the vanilla cache had to double.
     model = init(tiny_config())
-    sess = DecodeSession(model, "lambda")
-    sess.step(1)
+    sess, fresh = DecodeSession(model, mode), DecodeSession(model, mode)
+    for t in range(position):
+        sess.step(t % 31)
+        fresh.step(t % 31)
     wo = model.params["layer0/attn/wo"].copy()
     model.params["layer0/attn/wo"][:] = np.nan
     with pytest.raises(NanDetectedError):
         sess.step(2)
     model.params["layer0/attn/wo"][:] = wo
-    for _ in range(2):
-        with pytest.raises(CacheStateError, match="position 1"):
-            sess.step(2)
+    assert sess.position == position
+    for t in (5, 3, 7):
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
 
 
 def test_step_failing_in_layer0_input_check_keeps_session_usable():
-    # A NaN embedding row fails layer 0's input check before any push: the
+    # A NaN embedding row fails layer 0's input check before any store: the
     # session goes on as if the token had never been fed.
     model = init(tiny_config())
     model.params["embedding"][7] = np.nan
@@ -439,6 +447,26 @@ def test_step_failing_in_layer0_input_check_keeps_session_usable():
     fresh.step(1)
     for t in (2, 3):
         np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+
+
+@pytest.mark.parametrize("n_layers", [1, 4])
+def test_decode_step_computes_rope_cos_sin_once(monkeypatch, n_layers):
+    # Layer 0 works out the step's cos/sin for every layer, before and past
+    # the clamp (far pinned keys were rotated when they were stored).
+    import lm_infinite.kv_cache as kv_cache
+
+    cos_sin = kv_cache.rope_cos_sin
+    positions = []
+
+    def counting(position, params):
+        positions.append(position)
+        return cos_sin(position, params)
+
+    sess = DecodeSession(init(tiny_config(n_layers=n_layers)), "lambda")
+    monkeypatch.setattr(kv_cache, "rope_cos_sin", counting)
+    for t in range(24):
+        sess.step(t % 31)
+    assert positions == list(range(24))
 
 
 def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
