@@ -32,6 +32,7 @@ from lm_infinite.diagnostics import (
     write_logits_csv,
     write_pca_csv,
 )
+from lm_infinite.errors import CorpusFormatError
 from lm_infinite.evaluation import bench, parse_milestones, run_eval, write_eval_csv
 from lm_infinite.masking import MaskParams, build_mask
 from lm_infinite.model import (
@@ -196,9 +197,8 @@ def _load_corpus(path):
 
 
 def _cmd_train(cfg) -> int:
-    for name in ("steps", "batch"):
-        if cfg[name] < 1:
-            raise ValueError(f"--{name} must be >= 1, got {cfg[name]}")
+    if cfg["steps"] < 1:
+        raise ValueError(f"--steps must be >= 1, got {cfg['steps']}")
     if cfg["synthetic_length"] is not None and cfg["synthetic_length"] < 1:
         raise ValueError(
             f"--synthetic-length must be >= 1, got {cfg['synthetic_length']}"
@@ -225,8 +225,8 @@ def _cmd_train(cfg) -> int:
             model, corpus, steps=cfg["steps"], lr=cfg["lr"],
             batch_shape=(cfg["batch"], None), seed=cfg["seed"],
         )
-    except ValueError as exc:  # steps and batch are checked: the corpus is at fault
-        raise ValueError(f"{cfg['corpus'] or out / 'corpus.txt'}: {exc}") from None
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{cfg['corpus'] or out / 'corpus.txt'}: {exc}") from None
     save_model(result.model, out / "model.lmtm")
     with open(out / "loss.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss,step_seconds,grad_norm,update_norm\n")

@@ -20,7 +20,7 @@ class CacheStateError(RuntimeError):
 
 
 class CorpusFormatError(ValueError):
-    """A corpus file failed to parse; message carries line/byte location."""
+    """A corpus failed to parse or to train on; message carries the location."""
 
 
 class TrainingDivergedError(RuntimeError):

@@ -1,29 +1,27 @@
 """Key/value cache of every layer for one decode stream, and its decode step.
 
-A cache is built from one AttentionConfig and the layer count, and follows
+A cache is built from one AttentionConfig and the layer count and follows
 the config's mode; every layer puts a position in the same slot. In lambda
-mode position p goes to slot p if p < n_global, otherwise to slot n_global
-+ (p - n_global) % n_local, overwriting the entry n_local steps older: the
-pinned prefix stays forever and memory never exceeds n_global + n_local
-entries per layer however long the stream runs. In vanilla mode position p
-goes to slot p, nothing is evicted and the arrays double when full.
+mode position p goes to slot p if p < n_global, else to slot n_global +
+(p - n_global) % n_local, overwriting the entry n_local steps older: the
+pinned prefix stays and memory never exceeds n_global + n_local entries per
+layer however long the stream runs. In vanilla mode position p goes to slot
+p, nothing is evicted and the arrays double when full.
 
 Occupied slots are always [0, len(cache)), pinned entries first, so
 ``keys``, ``values`` and ``positions`` are plain array views; the window
-part is in ring order, not ascending. A step is ``attend(layer, q, k, v)``
-for each layer in order, then ``advance()``. Layer 0 works out the step's
-slot, distances and RoPE cos/sin for all layers. Each layer stores its
-token, so the stored entries are exactly the mask row of its position, and
-scores them with the blocked kernel's logit and softmax code. A step that
-fails before ``advance()`` leaves next_position as it was, so the next step
-rewrites the same slot in every layer; the entry a lambda write replaced,
+part is in ring order. A step is ``begin()`` (slot, distances and RoPE
+cos/sin for all layers), ``attend(layer, q, k, v)`` for each layer (store
+the token, then score the stored entries, the mask row of its position,
+with the blocked kernel's code), then ``advance()``. A failed step is
+redone in the same slot of every layer; the entry a lambda write replaced,
 n_local positions older, is outside the window from then on.
 
 Under RoPE in lambda mode a far pinned key scores at the distance limit:
 <R(l_pretrain) q, k> = <q, R(-l_pretrain) k>. The cache stores that far key
-once, when its pinned token is stored, in a (n_layers, n_global, n_heads,
-head_dim) array whose row j is pinned slot j, so a step costs one cos/sin
-of its own position and no other trig.
+once, when its pinned token is stored, in row j < len(cache) of a (n_layers,
+n_global, n_heads, head_dim) array for pinned slot j, so a step costs one
+cos/sin of its own position and no other trig.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ import numpy as np
 
 from lm_infinite.attention import AttentionConfig, _check_nan, _logits, _softmax
 from lm_infinite.encoding import apply_rotation_f64, rope_cos_sin
+from lm_infinite.errors import CacheStateError
 
 _MIN_CAPACITY = 16  # first allocation of a growing (vanilla) cache
 
@@ -54,6 +53,7 @@ class KvCache:
         self._k = np.empty((n_layers, capacity) + self._entry)
         self._v = np.empty((n_layers, capacity) + self._entry)
         self._pos = np.empty(capacity, dtype=np.int64)
+        self._slot = None  # set by begin(), cleared by advance()
         self._far_cos_sin = None
         if config.is_rope and self._n_global:
             self._far_cos_sin = rope_cos_sin(self._clamp, config.encoding)
@@ -74,20 +74,35 @@ class KvCache:
     def positions(self) -> np.ndarray:
         return self._pos[: self._len]
 
-    def attend(self, layer: int, q, k, v) -> np.ndarray:
-        """Layer ``layer``'s decode step at next_position: store the token,
-        then attend.
+    def begin(self) -> None:
+        """Start (or restart) the step at next_position, for every layer."""
+        pos = self.next_position
+        G = self._n_global
+        slot = pos if self._n_local is None or pos < G else G + (pos - G) % self._n_local
+        if slot == len(self._pos):  # a full vanilla cache: double it, copying once
+            k = np.empty((self._k.shape[0], 2 * slot) + self._entry)
+            v = np.empty_like(k)
+            p = np.empty(2 * slot, dtype=np.int64)
+            k[:, :slot], v[:, :slot], p[:slot] = self._k, self._v, self._pos
+            self._k, self._v, self._pos = k, v, p
+        self._pos[slot] = pos
+        self._len = max(self._len, slot + 1)
+        self._slot = slot
+        # f64, so that each Alibi head scales it without an int cast.
+        self._dist = np.subtract(pos, self.positions, dtype=np.float64)[None, :]
+        config = self.config
+        self._cos_sin = rope_cos_sin(pos, config.encoding) if config.is_rope else None
 
-        q, k and v hold (n_heads * head_dim) values each. The token's RoPE
-        key is rotated to its own position before it is stored, and the
-        result matches the corresponding attend() row to numerical
-        precision. Returns the (n_heads * head_dim) attention values.
-        """
+    def attend(self, layer: int, q, k, v) -> np.ndarray:
+        """Layer ``layer``'s part of the step begun by begin(): store the
+        token (a RoPE key rotated to its own position), then attend. q, k, v
+        and the result hold n_heads * head_dim values each; the result
+        matches the corresponding attend() row to numerical precision."""
+        if self._slot is None:
+            raise CacheStateError("attend() outside a step: call begin() first")
         q, k, v = (np.asarray(x, dtype=np.float64).reshape(self._entry) for x in (q, k, v))
         position = self.next_position
         _check_nan(q[None], k[None], v[None], position)
-        if layer == 0:
-            self._begin()
         q = q[:, None, :]  # (n_heads, 1, head_dim): one query row
         qn, kn, far = q, k, None
         if self._cos_sin is not None:
@@ -101,29 +116,12 @@ class KvCache:
                 cos, sin = self._far_cos_sin
                 self._kf[layer, position] = apply_rotation_f64(k, cos, -sin)
             if position > self._clamp:
-                far = (q, np.swapaxes(self._kf[layer], 0, 1))
+                far = (q, np.swapaxes(self._kf[layer, : self._len], 0, 1))
         keys = np.swapaxes(self.keys[layer], 0, 1)
         z = _logits(qn, keys, self._dist, self.config, self._clamp, far)
-        w = _softmax(z)
-        return (w @ np.swapaxes(self.values[layer], 0, 1)).reshape(-1)
+        return (_softmax(z) @ np.swapaxes(self.values[layer], 0, 1)).reshape(-1)
 
     def advance(self) -> None:
         """End the step: every layer has stored its token at next_position."""
         self.next_position += 1
-
-    def _begin(self) -> None:
-        """The step's slot, key distances and RoPE cos/sin, for every layer."""
-        pos = self.next_position
-        G = self._n_global
-        slot = pos if self._n_local is None or pos < G else G + (pos - G) % self._n_local
-        if slot == len(self._pos):  # only a vanilla cache fills up
-            self._k = np.concatenate((self._k, np.empty_like(self._k)), axis=1)
-            self._v = np.concatenate((self._v, np.empty_like(self._v)), axis=1)
-            self._pos = np.concatenate((self._pos, np.empty_like(self._pos)))
-        self._pos[slot] = pos
-        self._len = max(self._len, slot + 1)
-        self._slot = slot
-        # f64, so that each Alibi head scales it without an int cast.
-        self._dist = np.subtract(pos, self.positions, dtype=np.float64)[None, :]
-        config = self.config
-        self._cos_sin = rope_cos_sin(pos, config.encoding) if config.is_rope else None
+        self._slot = None

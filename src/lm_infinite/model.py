@@ -34,6 +34,7 @@ from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
     CacheStateError,
+    CorpusFormatError,
     NanDetectedError,
     TrainingDivergedError,
 )
@@ -468,9 +469,9 @@ def train(
             try:
                 eligible.append(_check_ids(seq, cfg.vocab_size))
             except ValueError as exc:
-                raise ValueError(f"corpus sequence {i}: {exc}") from None
+                raise CorpusFormatError(f"corpus sequence {i}: {exc}") from None
     if steps > 0 and not eligible:
-        raise ValueError(
+        raise CorpusFormatError(
             f"corpus has no sequence of length >= {seq_len + 1} to train on"
         )
     stream = SplitMix64(derive_stream(cfg.seed if seed is None else seed, "data-order"))
@@ -551,6 +552,7 @@ class DecodeSession:
         token = int(token)
         if not 0 <= token < self.model.config.vocab_size:
             raise ValueError(f"token id {token} outside vocabulary")
+        self.cache.begin()
         logits = _forward(self.model, token, self.cache.attend, position=self.position)
         self.cache.advance()
         return logits

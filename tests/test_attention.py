@@ -58,7 +58,8 @@ def oracle_attend(q, k, v, config):
 
 
 def decode_step(cache, q, k, v):
-    """One step of a one-layer KvCache: attend at next_position, then advance."""
+    """One step of a one-layer KvCache: begin, attend at next_position, advance."""
+    cache.begin()
     out = cache.attend(0, q, k, v)
     cache.advance()
     return out
@@ -453,13 +454,15 @@ def test_batched_stash_readers_match_per_sequence(small_blocks):
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
     # Decode rows past the clamp score far pinned keys at the clamp, exactly
-    # as the blocked kernel does.
-    config = make_config("lambda", kind, n_global=3, n_local=3, l_pretrain=4)
-    rng = np.random.default_rng(19)
-    q, k, v = random_qkv(rng, 17)
-    full, stash = attend(q, k, v, config)
-    cache = KvCache(config, 1)
-    for i in range(17):
-        step = decode_step(cache, q[i], k[i], v[i])
-        assert np.allclose(step, full[i].reshape(-1), atol=1e-12)
-        assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()
+    # as the blocked kernel does. With n_global 8 > l_pretrain 4, rows 5 to
+    # 7 are past the clamp while the pinned prefix is still filling.
+    for n_global in (3, 8):
+        config = make_config("lambda", kind, n_global=n_global, n_local=3, l_pretrain=4)
+        rng = np.random.default_rng(19)
+        q, k, v = random_qkv(rng, 17)
+        full, stash = attend(q, k, v, config)
+        cache = KvCache(config, 1)
+        for i in range(17):
+            step = decode_step(cache, q[i], k[i], v[i])
+            assert np.allclose(step, full[i].reshape(-1), atol=1e-12), (n_global, i)
+            assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()

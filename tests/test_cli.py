@@ -205,7 +205,7 @@ def test_train_artifacts(trained_dir):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--steps", "0"), ("--steps", "-1"), ("--batch", "0"),
+    ("--steps", "0"), ("--steps", "-1"),
     ("--synthetic-length", "0"), ("--synthetic-length", "-5"),
 ])
 def test_train_rejects_nonpositive_counts(flag, value, tmp_path, capsys):
@@ -242,6 +242,15 @@ def test_train_rejects_out_of_vocabulary_corpus(tmp_path, capsys):
     # The message names the corpus file and the sequence within it.
     assert f"{corpus}: corpus sequence 0: token id 300 outside vocabulary of size 31" in err
     assert "Traceback" not in err
+
+
+def test_train_batch_error_does_not_name_the_corpus(tmp_path, capsys):
+    # Only corpus faults carry the corpus path; a bad --batch is train's own.
+    rc = cli.main(["train", *TINY, "--steps", "1", "--batch", "0",
+                   "--synthetic-sequences", "3", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bad batch_shape (0, None)" in err and "corpus" not in err
 
 
 def test_config_file_precedence(tmp_path, capsys):

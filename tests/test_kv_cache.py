@@ -8,6 +8,7 @@ import pytest
 
 from lm_infinite.attention import AttentionConfig, attend
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
+from lm_infinite.errors import CacheStateError
 from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams
 
@@ -28,6 +29,7 @@ def make_cache(params, mode="lambda", encoding=ALIBI):
 
 def store(cache, k, v):
     """One step of a one-layer cache: store (k, v) at next_position."""
+    cache.begin()
     cache.attend(0, np.zeros(8), k, v)
     cache.advance()
 
@@ -90,6 +92,19 @@ def test_slot_layout_pinned_then_ring():
     assert cache.keys.shape == (1, 5, 2, 4)
 
 
+def test_attend_outside_a_step_raises():
+    # attend() belongs between begin() and advance(): on a fresh cache and
+    # after a step has ended it refuses instead of writing some slot.
+    cache = make_cache(MaskParams(n_global=2, n_local=3, l_pretrain=8))
+    qkv = (np.zeros(8),) * 3
+    with pytest.raises(CacheStateError, match="call begin"):
+        cache.attend(0, *qkv)
+    store(cache, np.ones(8), np.ones(8))
+    with pytest.raises(CacheStateError, match="call begin"):
+        cache.attend(0, *qkv)
+    assert cache.positions.tolist() == [0] and cache.next_position == 1
+
+
 def test_empty_cache_visible_is_empty():
     params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
     cache = make_cache(params)
@@ -104,6 +119,7 @@ def test_query_inside_pinned_prefix_sees_everything_once():
     rng = np.random.default_rng(0)
     qkv = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
     for q, k, v in qkv:
+        cache.begin()
         step = cache.attend(0, q, k, v)
         cache.advance()
     assert np.sort(cache.positions).tolist() == [0, 1, 2, 3, 4]

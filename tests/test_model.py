@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from lm_infinite.corpus import SyntheticLanguage
-from lm_infinite.errors import CacheStateError, NanDetectedError, TrainingDivergedError
+from lm_infinite.errors import (
+    CacheStateError,
+    CorpusFormatError,
+    NanDetectedError,
+    TrainingDivergedError,
+)
 from lm_infinite.model import (
     DecodeSession,
     ToyModel,
@@ -286,7 +291,7 @@ def test_train_divergence_raises_with_step_index(tiny_corpus):
 
 def test_train_requires_long_enough_sequences():
     model = init(tiny_config())
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusFormatError, match="no sequence of length >= 17"):
         train(model, [np.arange(5, dtype=np.uint32)], steps=1, batch_shape=(2, 16))
 
 
@@ -295,7 +300,7 @@ def test_train_rejects_out_of_vocabulary_ids_before_any_step(tiny_corpus):
     before = model.copy()
     corpus = [*tiny_corpus, np.full(40, 300, dtype=np.uint32)]
     message = f"corpus sequence {len(tiny_corpus)}: token id 300 outside vocabulary of size 31"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(CorpusFormatError, match=message):
         train(model, corpus, steps=3, batch_shape=(2, 16))
     for name, arr in before.params.items():
         assert np.array_equal(model.params[name], arr), name
