@@ -115,7 +115,7 @@ def _check_nan(q, k, v, first_row=0):
             )
 
 
-def _window(config: AttentionConfig, seq_len: int):
+def _window(config: AttentionConfig, seq_len: int | None):
     """(G, W, clamp) of the kernel: the mask branches, or a causal vanilla."""
     if config.mode == "lambda":
         mp = config.mask_params

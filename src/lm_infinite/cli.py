@@ -25,19 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from lm_infinite.corpus import SyntheticLanguage, load_corpus, save_corpus
+from lm_infinite.corpus import SyntheticLanguage, load_corpus, parse_text_line, save_corpus
 from lm_infinite.diagnostics import (
     run_diagnostics,
     write_entropy_csv,
     write_logits_csv,
     write_pca_csv,
 )
-from lm_infinite.errors import CorpusFormatError
+from lm_infinite.errors import CorpusFormatError, NanDetectedError, TrainingDivergedError
 from lm_infinite.evaluation import bench, parse_milestones, run_eval, write_eval_csv
 from lm_infinite.masking import MaskParams, build_mask
 from lm_infinite.model import (
     ENCODINGS,
-    DecodeSession,
     ToyModel,
     ToyModelConfig,
     generate,
@@ -206,18 +205,15 @@ def _cmd_train(cfg) -> int:
     model_config = ToyModelConfig(
         **{**{name: cfg[name] for name in _MODEL}, "mode": _internal_mode(cfg["mode"])}
     )
-    out = Path(cfg["out"])
-    _write_effective_config(cfg, out)
-
     if cfg["corpus"]:
-        corpus = _load_corpus(cfg["corpus"])
+        corpus, source = _load_corpus(cfg["corpus"]), cfg["corpus"]
     else:
         length = cfg["synthetic_length"]
         if length is None:
             length = 17 * model_config.train_len
         lang = SyntheticLanguage(vocab_size=model_config.vocab_size, seed=cfg["seed"])
         corpus = lang.sample(cfg["synthetic_sequences"], length)
-        save_corpus(corpus, out / "corpus.txt")
+        source = f"synthetic corpus ({len(corpus)} x {length} tokens)"
 
     model = init(model_config)
     try:
@@ -226,7 +222,12 @@ def _cmd_train(cfg) -> int:
             batch_shape=(cfg["batch"], None), seed=cfg["seed"],
         )
     except CorpusFormatError as exc:
-        raise CorpusFormatError(f"{cfg['corpus'] or out / 'corpus.txt'}: {exc}") from None
+        raise CorpusFormatError(f"{source}: {exc}") from None
+    # Written only after training, so rejected inputs leave no --out directory.
+    out = Path(cfg["out"])
+    _write_effective_config(cfg, out)
+    if not cfg["corpus"]:
+        save_corpus(corpus, out / "corpus.txt")
     save_model(result.model, out / "model.lmtm")
     with open(out / "loss.csv", "w", encoding="utf-8") as fh:
         fh.write("step,loss,step_seconds,grad_norm,update_norm\n")
@@ -250,18 +251,10 @@ def _cmd_generate(cfg) -> int:
             raw = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{source}: prompt file is not UTF-8 text") from None
-    ids = []
-    for tok in raw.split():
-        try:
-            ids.append(int(tok))
-        except ValueError:
-            raise ValueError(f"{source}: bad token id {tok!r}") from None
-    if not ids:
+    ids = parse_text_line(raw, source)
+    if not ids.size:
         raise ValueError("prompt must contain at least one token id")
-    mode = _internal_mode(cfg["mode"]) or model.config.mode
-    session = DecodeSession(model, mode)
-    out = generate(model, np.asarray(ids, dtype=np.int64), cfg["n_new"],
-                   mode=mode, cache=session)
+    out = generate(model, ids, cfg["n_new"], mode=_internal_mode(cfg["mode"]))
     print(" ".join(str(int(t)) for t in out))
     return 0
 
@@ -434,7 +427,7 @@ def main(argv=None) -> int:
     command = _SUBCOMMANDS[args.command]
     try:
         return command.run(_resolve(command.options, args))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NanDetectedError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,22 +50,25 @@ def _parse_text(blob: bytes, path: str) -> list:
         raise CorpusFormatError(f"{path}: not valid text and not LMTS: {exc}") from None
     sequences = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        ids = []
-        for tok in line.split():
-            if not (tok.isascii() and tok.isdigit()):
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: bad token {tok!r} (unsigned decimal required)"
-                )
-            value = int(tok)
-            if value > _U32_MAX:
-                raise CorpusFormatError(
-                    f"{path}: line {lineno}: token {value} exceeds u32 range"
-                )
-            ids.append(value)
-        sequences.append(np.asarray(ids, dtype=np.uint32))
+        if line.strip():
+            sequences.append(parse_text_line(line, f"{path}: line {lineno}"))
     return sequences
+
+
+def parse_text_line(line: str, where: str) -> np.ndarray:
+    """The uint32 ids of one text-format line: ASCII decimal ids within u32
+    range, separated by whitespace. An error message starts with ``where``."""
+    ids = []
+    for tok in line.split():
+        if not (tok.isascii() and tok.isdigit()):
+            raise CorpusFormatError(
+                f"{where}: bad token {tok!r} (unsigned decimal required)"
+            )
+        value = int(tok)
+        if value > _U32_MAX:
+            raise CorpusFormatError(f"{where}: token {value} exceeds u32 range")
+        ids.append(value)
+    return np.asarray(ids, dtype=np.uint32)
 
 
 def _parse_binary(blob: bytes, path: str) -> list:

@@ -170,8 +170,7 @@ def continuation_eval(
             if len(seq) < m + gen_len:
                 skipped += 1
                 continue
-            session = DecodeSession(model, mode)
-            out = generate(model, seq[:m], gen_len, mode=mode, cache=session)
+            out = generate(model, seq[:m], gen_len, mode=mode)
             ref = seq[m : m + gen_len]
             bleus.append(bleu(out, ref))
             rouges.append(rouge_lsum(out, ref))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lm_infinite.attention import AttentionConfig, _check_nan, _logits, _softmax
+from lm_infinite.attention import AttentionConfig, _check_nan, _logits, _softmax, _window
 from lm_infinite.encoding import apply_rotation_f64, rope_cos_sin
 from lm_infinite.errors import CacheStateError
 
@@ -42,12 +42,9 @@ class KvCache:
         self.config = config
         self.next_position = 0
         self._len = 0
-        # Vanilla mode has no pinned keys, no window bound and no clamp.
-        mp = config.mask_params
-        bounded = config.mode == "lambda"
-        self._n_global = mp.n_global if bounded else 0
-        self._n_local = mp.n_local if bounded else None
-        self._clamp = mp.l_pretrain if bounded else None
+        # The kernel's window: vanilla has no pinned keys, bound or clamp.
+        self._n_global, self._n_local, self._clamp = _window(config, None)
+        bounded = self._n_local is not None
         capacity = self._n_global + self._n_local if bounded else _MIN_CAPACITY
         self._entry = (config.n_heads, config.head_dim)
         self._k = np.empty((n_layers, capacity) + self._entry)

@@ -463,6 +463,8 @@ def train(
         raise ValueError(f"bad batch_shape {batch_shape}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     eligible = []
     for i, seq in enumerate(corpus):
         if len(seq) >= seq_len + 1:
@@ -567,27 +569,18 @@ def generate(
 ) -> np.ndarray:
     """Greedy continuation of ``prompt``; returns the n_new generated ids.
 
-    Without a cache every step reruns the full forward pass — the slow,
-    obviously-correct oracle. With a DecodeSession the same tokens come out
-    of the incremental path (asserted by tests at exact token equality).
-    The session must be fresh; it is prefilled with the prompt here. To
-    continue from mid-stream state, drive the session's step() directly.
+    Decoding always streams through a DecodeSession, built fresh here unless
+    ``cache`` passes one in (fresh, in ``mode``); the prompt is prefilled
+    step by step. To continue mid-stream, drive a session's step() directly.
     """
     if n_new < 1:
         raise ValueError(f"n_new must be >= 1, got {n_new}")
     ids = _check_ids(prompt, model.config.vocab_size)
+    if ids.ndim != 1:
+        raise ValueError(f"prompt must be one-dimensional, got shape {ids.shape}")
     mode = mode or model.config.mode
-    out = []
-
     if cache is None:
-        context = list(ids)
-        for _ in range(n_new):
-            logits = forward(model, np.asarray(context), mode=mode)
-            nxt = int(np.argmax(logits[-1]))
-            out.append(nxt)
-            context.append(nxt)
-        return np.asarray(out)
-
+        cache = DecodeSession(model, mode)
     if cache.mode != mode:
         raise CacheStateError(
             f"session mode {cache.mode!r} does not match requested {mode!r}"
@@ -600,6 +593,7 @@ def generate(
     logits = None
     for t in ids:
         logits = cache.step(int(t))
+    out = []
     for _ in range(n_new):
         nxt = int(np.argmax(logits))
         out.append(nxt)
@@ -635,9 +629,10 @@ def save_model(model: ToyModel, path) -> None:
 
 
 def load_model(path) -> ToyModel:
-    """Read an LMTM checkpoint; any malformed byte raises a ValueError that
-    names the path and the byte offset. Each config value is converted with
-    its ToyModelConfig field's type, the type of the field's default."""
+    """Read an LMTM checkpoint; any malformed byte, and any NaN or infinite
+    tensor value, raises a ValueError that names the path and the byte
+    offset. Each config value is converted with its ToyModelConfig field's
+    type, the type of the field's default."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -671,8 +666,17 @@ def load_model(path) -> ToyModel:
             raise ValueError(f"{path}: unexpected tensor {name!r} at byte {at}")
         (ndim,) = reader.unpack("<I", f"tensor {name} rank")
         shape = reader.unpack(f"<{ndim}I", f"tensor {name} shape")
+        at = reader.offset
         data = reader.take(4 * math.prod(shape), f"tensor {name} data")
-        params[name] = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(shape)
+        data = np.frombuffer(data, dtype="<f4")
+        finite = np.isfinite(data)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"{path}: tensor {name} holds non-finite value {data[i]} "
+                f"at byte {at + 4 * i}"
+            )
+        params[name] = data.astype(np.float64).reshape(shape)
     missing = set(expected) - set(params)
     if missing:
         raise ValueError(

@@ -1,4 +1,5 @@
-"""Run the suite's numpy on one BLAS thread, as the benchmark harness does.
+"""Run the suite's numpy on one BLAS thread, as the benchmark harness does,
+and share the greedy decoding oracle (``greedy_oracle``) between test files.
 
 The acceptance gates time how cost grows with length (criterion 7: encode
 time at 4x the length, per-token decode time at 4x the context). With two
@@ -16,5 +17,25 @@ the environment is kept.
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def greedy_oracle():
+    """Greedy decoding by one full forward pass per new token: the slow,
+    obviously correct reference that ``generate`` must reproduce."""
+    import numpy as np
+
+    from lm_infinite.model import forward
+
+    def decode(model, prompt, n_new, mode=None):
+        context = [int(t) for t in prompt]
+        for _ in range(n_new):
+            logits = forward(model, np.asarray(context), mode=mode)
+            context.append(int(np.argmax(logits[-1])))
+        return np.asarray(context[len(prompt):])
+
+    return decode

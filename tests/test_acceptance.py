@@ -83,7 +83,7 @@ def test_criterion_01_short_sequence_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_streaming_equivalence():
+def test_criterion_02_streaming_equivalence(greedy_oracle):
     t0 = time.perf_counter()
     cfg = ToyModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2,
                          train_len=16, n_global=2, n_local=16, l_pretrain=16,
@@ -102,9 +102,8 @@ def test_criterion_02_streaming_equivalence():
 
     prompt = ids[:8]
     n_new = total - len(prompt)  # greedy run reaches 8 * n_local total tokens
-    uncached = generate(model, prompt, n_new, mode="lambda")
-    cached = generate(model, prompt, n_new, mode="lambda",
-                      cache=DecodeSession(model, "lambda"))
+    uncached = greedy_oracle(model, prompt, n_new, mode="lambda")
+    cached = generate(model, prompt, n_new, mode="lambda")
     same = bool(np.array_equal(uncached, cached))
 
     elapsed = time.perf_counter() - t0

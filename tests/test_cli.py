@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from lm_infinite import cli
+from lm_infinite.errors import NanDetectedError
 from lm_infinite.masking import MaskParams, build_mask
-from lm_infinite.model import forward, generate, load_model
+from lm_infinite.model import load_model, save_model
 
 TINY = [
     "--vocab-size", "31", "--d-model", "16", "--n-layers", "2",
@@ -242,6 +243,40 @@ def test_train_rejects_out_of_vocabulary_corpus(tmp_path, capsys):
     # The message names the corpus file and the sequence within it.
     assert f"{corpus}: corpus sequence 0: token id 300 outside vocabulary of size 31" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_synthetic_corpus_too_short_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", *TINY, "--steps", "1", "--batch", "2",
+                   "--synthetic-sequences", "3", "--synthetic-length", "5",
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: synthetic corpus (3 x 5 tokens): corpus has no sequence" in err
+    assert "corpus.txt" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_train_rejects_bad_lr_writing_nothing(value, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", *TINY, "--steps", "1", "--batch", "2",
+                   "--synthetic-sequences", "3", f"--lr={value}", "--out", str(out)])
+    assert rc == 1
+    assert f"lr must be positive and finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_divergence_exits_one_naming_the_step(tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", *TINY, "--steps", "5", "--batch", "2",
+                       "--synthetic-sequences", "3", "--lr", "1e80",
+                       "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " at step " in err
+    assert "Traceback" not in err
 
 
 def test_train_batch_error_does_not_name_the_corpus(tmp_path, capsys):
@@ -314,13 +349,13 @@ def test_config_value_equals_flag(sub, setting, trained_dir, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_generate_matches_library(trained_dir, capsys):
+def test_generate_matches_library(trained_dir, greedy_oracle, capsys):
     rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
                    "--prompt", "1 2 3 4", "--n-new", "6", "--mode", "lambda"])
     assert rc == 0
     got = [int(t) for t in capsys.readouterr().out.split()]
     model = load_model(trained_dir / "model.lmtm")
-    want = generate(model, np.array([1, 2, 3, 4]), 6, mode="lambda")
+    want = greedy_oracle(model, [1, 2, 3, 4], 6, mode="lambda")
     assert got == [int(t) for t in want]
 
 
@@ -352,6 +387,65 @@ def test_generate_bad_prompt_names_source(file_bytes, culprit, trained_dir,
     assert rc == 1
     err = capsys.readouterr().err
     assert source in err and culprit in err, err
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+@pytest.mark.parametrize("token", ["\u0661", "1_0", "+5"])
+def test_generate_prompt_takes_ascii_decimal_ids_only(token, via_file, trained_dir,
+                                                      tmp_path, capsys):
+    # int() reads these as 1, 10 and 5; the corpus text rule rejects them.
+    prompt, source = f"1 {token} 3", "--prompt"
+    if via_file:
+        source = str(tmp_path / "prompt.txt")
+        (tmp_path / "prompt.txt").write_text(prompt + "\n", encoding="utf-8")
+        prompt = f"@{source}"
+    rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
+                   "--prompt", prompt])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{source}: bad token {token!r}" in err, err
+
+
+def test_generate_reports_nan_as_user_error(trained_dir, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise NanDetectedError("NaN after attention in layer 0, position 3")
+
+    monkeypatch.setattr(cli, "generate", diverge)
+    rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
+                   "--prompt", "1 2 3"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: NaN after attention in layer 0, position 3\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# checkpoint holding a NaN
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sub, args", [
+    ("generate", ["--prompt", "1 2 3", "--n-new", "2"]),
+    ("diag", ["--probe-len", "16"]),
+    ("eval", ["--milestones", "16", "--gen-len", "4"]),
+    ("bench", ["--seq-len", "24", "--repeats", "3", "--decode-tokens", "2"]),
+])
+def test_nan_checkpoint_exits_one_naming_the_tensor(sub, args, trained_dir,
+                                                    tmp_path, capsys):
+    model = load_model(trained_dir / "model.lmtm")
+    model.params["layer1/mlp/w1"][3, 4] = np.nan
+    path = tmp_path / "nan.lmtm"
+    save_model(model, path)
+    if sub in ("diag", "eval"):
+        args = [*args, "--out", str(tmp_path / "out")]
+    if sub == "eval":
+        args = [*args, "--corpus", str(trained_dir / "corpus.txt")]
+    rc = cli.main([sub, "--model", str(path), *args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tensor layer1/mlp/w1 holds non-finite value nan")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,16 @@ def test_train_divergence_raises_with_step_index(tiny_corpus):
     assert "step" in str(exc.value)
 
 
+@pytest.mark.parametrize("lr", [float("nan"), 0.0, -1.0, float("inf")])
+def test_train_rejects_bad_lr_before_any_step(tiny_corpus, lr):
+    model = init(tiny_config())
+    before = model.copy()
+    with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
+        train(model, tiny_corpus, steps=3, lr=lr, batch_shape=(2, 16))
+    for name, arr in before.params.items():
+        assert np.array_equal(model.params[name], arr), name
+
+
 def test_train_requires_long_enough_sequences():
     model = init(tiny_config())
     with pytest.raises(CorpusFormatError, match="no sequence of length >= 17"):
@@ -320,12 +330,37 @@ def test_generate_single_token_is_argmax_of_forward():
 
 
 @pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
-def test_cached_generate_matches_uncached(tiny_corpus, mode):
-    model = train(init(tiny_config()), tiny_corpus, steps=15, batch_shape=(4, 16)).model
+def test_cached_generate_matches_uncached(tiny_corpus, greedy_oracle, mode):
+    # 12 + 40 tokens run past n_local = 16: the lambda window evicts.
     prompt = tiny_corpus[0][:12]
-    slow = generate(model, prompt, 40, mode=mode)
-    fast = generate(model, prompt, 40, mode=mode, cache=DecodeSession(model, mode))
-    assert np.array_equal(slow, fast)
+    for encoding in ("rope", "alibi"):
+        model = init(tiny_config(encoding=encoding))
+        model = train(model, tiny_corpus, steps=15, batch_shape=(4, 16)).model
+        slow = greedy_oracle(model, prompt, 40, mode=mode)
+        assert np.array_equal(generate(model, prompt, 40, mode=mode), slow), encoding
+        session = DecodeSession(model, mode)
+        fast = generate(model, prompt, 40, mode=mode, cache=session)
+        assert np.array_equal(fast, slow), encoding
+
+
+def test_generate_without_session_never_runs_full_forward(monkeypatch, greedy_oracle):
+    import lm_infinite.model as model_module
+
+    model = init(tiny_config())
+    prompt = (np.arange(9) * 2) % 31
+    want = greedy_oracle(model, prompt, 20)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate() ran a full forward pass")
+
+    monkeypatch.setattr(model_module, "forward", refuse)
+    assert np.array_equal(generate(model, prompt, 20), want)
+
+
+@pytest.mark.parametrize("prompt", [np.array(3), np.ones((2, 4), dtype=np.int64)])
+def test_generate_rejects_prompt_that_is_not_one_sequence(prompt):
+    with pytest.raises(ValueError, match="prompt must be one-dimensional"):
+        generate(init(tiny_config()), prompt, 2)
 
 
 def test_session_logits_match_full_forward():
@@ -576,6 +611,22 @@ def test_load_rejects_unknown_config_key_and_tensor(tmp_path):
     )
     with pytest.raises(ValueError, match=f"unexpected tensor 'layer9/attn/wq' at byte {len(blob)}"):
         load_model(extra)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_load_rejects_non_finite_tensor_value(tmp_path, value):
+    model = init(tiny_config())
+    model.params["layer0/attn/wq"][0, 5] = value
+    path = tmp_path / "bad.lmtm"
+    save_model(model, path)
+    # The tensor's data follows its name, its u32 rank and two u32 dims.
+    at = path.read_bytes().index(b"layer0/attn/wq") + len("layer0/attn/wq") + 12 + 4 * 5
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == (
+        f"{path}: tensor layer0/attn/wq holds non-finite value {np.float32(value)} "
+        f"at byte {at}"
+    )
 
 
 def test_config_rejects_unknown_mode():
