@@ -155,20 +155,7 @@ def _block_keys(s, e, G, W):
     js = np.concatenate([np.arange(g), np.arange(lo, e)])
     dist = np.arange(s, e)[:, None] - js
     allowed = (dist >= 0) & ((dist < W) | (js < G))
-    return g, lo, js, dist, allowed
-
-
-def _take(x, g, lo, e):
-    """Rows [0, g) and [lo, e) of the key axis of a head-major array."""
-    if g == lo:
-        return x[..., :e, :]
-    return np.concatenate([x[..., :g, :], x[..., lo:e, :]], axis=-2)
-
-
-def _put(dst, src, g, lo, e):
-    """Scatter-add the inverse of _take."""
-    dst[..., :g, :] += src[..., :g, :]
-    dst[..., lo:e, :] += src[..., g:, :]
+    return g, js, dist, allowed
 
 
 @dataclass
@@ -195,7 +182,7 @@ class _Stash:
         G, W, clamp = self.window
         i = range(self.qn.shape[-2])[i]
         s, e, w, _ = next(b for b in self.blocks if b[0] <= i < b[1])
-        _, _, js, dist, allowed = _block_keys(s, e, G, W)
+        _, js, dist, allowed = _block_keys(s, e, G, W)
         cols = allowed[i - s]
         d = dist[i - s, cols]
         return js[cols], w[..., i - s, cols], d if clamp is None else np.minimum(d, clamp)
@@ -225,17 +212,17 @@ def _forward(q, k, v, config):
     out = np.empty_like(qn)
     for s in range(0, seq_len, block):
         e = min(s + block, seq_len)
-        g, lo, _, dist, allowed = _block_keys(s, e, G, W)
+        g, js, dist, allowed = _block_keys(s, e, G, W)
         far = stash.qf is not None and e - 1 > clamp
         z = _logits(
-            qn[..., s:e, :], _take(kn, g, lo, e), dist, config, clamp,
+            qn[..., s:e, :], kn[..., js, :], dist, config, clamp,
             (stash.qf[..., s:e, :], stash.kf[..., :g, :]) if far else None,
         )
         np.copyto(z, -np.inf, where=~allowed)
         if e == seq_len:
             stash.last_logits = z[..., -1, allowed[-1]]
         w = _softmax(z)
-        np.matmul(w, _take(vh, g, lo, e), out=out[..., s:e, :])
+        np.matmul(w, vh[..., js, :], out=out[..., s:e, :])
         stash.blocks.append((s, e, w, far))
     return out, stash
 
@@ -254,10 +241,10 @@ def _backward(stash: _Stash, d_out):
         dkf = np.zeros_like(stash.kf)
 
     for s, e, w, far in stash.blocks:
-        g, lo, _, dist, _ = _block_keys(s, e, G, W)
+        g, js, dist, _ = _block_keys(s, e, G, W)
         do = d_out[..., s:e, :]
-        _put(dv, np.swapaxes(w, -1, -2) @ do, g, lo, e)
-        dw = do @ np.swapaxes(_take(vh, g, lo, e), -1, -2)
+        dv[..., js, :] += np.swapaxes(w, -1, -2) @ do
+        dw = do @ np.swapaxes(vh[..., js, :], -1, -2)
         dw -= np.sum(dw * w, axis=-1, keepdims=True)
         dz = np.multiply(dw, w, out=dw)
         if far:
@@ -266,8 +253,8 @@ def _backward(stash: _Stash, d_out):
             dz[..., :g] = np.where(is_far, 0.0, dz[..., :g])
             dqf[..., s:e, :] = (dzf @ stash.kf[..., :g, :]) * scale
             dkf[..., :g, :] += (np.swapaxes(dzf, -1, -2) @ stash.qf[..., s:e, :]) * scale
-        dqn[..., s:e, :] = (dz @ _take(kn, g, lo, e)) * scale
-        _put(dkn, (np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]) * scale, g, lo, e)
+        dqn[..., s:e, :] = (dz @ kn[..., js, :]) * scale
+        dkn[..., js, :] += (np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]) * scale
 
     dq, dk = dqn, dkn
     if config.is_rope:

@@ -39,6 +39,7 @@ from lm_infinite.model import (
     ENCODINGS,
     ToyModel,
     ToyModelConfig,
+    _check_ids,
     generate,
     init,
     load_model,
@@ -103,11 +104,11 @@ def _options(*options: Option) -> dict:
 
 _MODEL = _options(*(
     Option(f.name, type(f.default), f.default,
-           choices={"encoding": ENCODINGS, "mode": tuple(_MODE_NAMES)}.get(f.name),
+           choices=ENCODINGS if f.name == "encoding" else None,
            help="master seed" if f.name == "seed" else None)
     for f in fields(ToyModelConfig)
 ))
-_MODE = Option("mode", choices=tuple(_MODE_NAMES))
+_MODE = Option("mode", default="lambda", choices=tuple(_MODE_NAMES))
 
 
 def _read_config_file(path: str, options: dict) -> dict:
@@ -202,9 +203,7 @@ def _cmd_train(cfg) -> int:
         raise ValueError(
             f"--synthetic-length must be >= 1, got {cfg['synthetic_length']}"
         )
-    model_config = ToyModelConfig(
-        **{**{name: cfg[name] for name in _MODEL}, "mode": _internal_mode(cfg["mode"])}
-    )
+    model_config = ToyModelConfig(**{name: cfg[name] for name in _MODEL})
     if cfg["corpus"]:
         corpus, source = _load_corpus(cfg["corpus"]), cfg["corpus"]
     else:
@@ -252,8 +251,10 @@ def _cmd_generate(cfg) -> int:
         except UnicodeDecodeError:
             raise ValueError(f"{source}: prompt file is not UTF-8 text") from None
     ids = parse_text_line(raw, source)
-    if not ids.size:
-        raise ValueError("prompt must contain at least one token id")
+    try:
+        _check_ids(ids, model.config.vocab_size)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     out = generate(model, ids, cfg["n_new"], mode=_internal_mode(cfg["mode"]))
     print(" ".join(str(int(t)) for t in out))
     return 0
@@ -275,7 +276,7 @@ def _cmd_diag(cfg) -> int:
         probe = probe[: cfg["probe_len"]]
     probe = np.asarray(probe)
 
-    mode = _internal_mode(cfg["mode"]) or model.config.mode
+    mode = _internal_mode(cfg["mode"])
     report = run_diagnostics(
         model, probe, layer=cfg["layer"], head=cfg["head"], mode=mode
     )
@@ -399,7 +400,7 @@ _SUBCOMMANDS = {
         _MODEL["seed"],
         Option("model", help="checkpoint; a fresh default model if omitted"),
         Option("seq_len", int, 512),
-        replace(_MODE, default="lambda"),
+        _MODE,
         Option("repeats", int, 5),
         Option("decode_tokens", int, 32),
         Option("out"),

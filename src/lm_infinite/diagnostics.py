@@ -179,7 +179,7 @@ def run_diagnostics(
     tokens,
     layer: int = 0,
     head: int = 0,
-    mode: str | None = None,
+    mode: str = "lambda",
 ) -> DiagnosticsReport:
     """All three measurements from one traced forward pass.
 
@@ -196,7 +196,6 @@ def run_diagnostics(
     tokens = np.asarray(tokens)
     if tokens.size < 3:
         raise ValueError("run_diagnostics needs at least 3 tokens")
-    mode = mode or cfg.mode
     _, trace = forward_traced(model, tokens, mode=mode)
     profile = _profile_from_trace(trace, cfg, mode, layer, head)
     entropy = np.stack(trace.entropy)

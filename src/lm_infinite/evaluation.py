@@ -91,7 +91,7 @@ def _log_softmax(rows):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def nll_curve(model, corpus, milestones, mode: str | None = None):
+def nll_curve(model, corpus, milestones, mode: str = "lambda"):
     """Per-milestone NLL in a trailing window, one forward pass per sequence.
 
     Each sequence is run once at its largest qualifying milestone; smaller
@@ -153,14 +153,13 @@ class ContinuationPoint:
 
 
 def continuation_eval(
-    model, corpus, milestones, gen_len: int = 100, mode: str | None = None
+    model, corpus, milestones, gen_len: int = 100, mode: str = "lambda"
 ):
     """Greedy continuations at each milestone scored against ground truth."""
     if gen_len < 1:
         raise ValueError(f"gen_len must be >= 1, got {gen_len}")
     ms = _spec(milestones).milestones
     corpus = [np.asarray(s) for s in corpus]
-    mode = mode or model.config.mode
 
     points = []
     for m in ms:
@@ -293,7 +292,7 @@ class BenchResult:
     repeats: int
 
 
-def bench(model, seq_len: int, mode: str | None = None, repeats: int = 5,
+def bench(model, seq_len: int, mode: str = "lambda", repeats: int = 5,
           decode_tokens: int = 32) -> BenchResult:
     """Median-of-repeats encode (full forward) and per-token decode timings."""
     if repeats < 3:
@@ -303,7 +302,6 @@ def bench(model, seq_len: int, mode: str | None = None, repeats: int = 5,
     if decode_tokens < 1:
         raise ValueError(f"decode_tokens must be >= 1, got {decode_tokens}")
     cfg = model.config
-    mode = mode or cfg.mode
     stream = np.arange(seq_len + decode_tokens) % cfg.vocab_size
 
     encode_times = []

@@ -9,10 +9,10 @@ training and streaming decode differ only in the attention they pass it:
 the blocked kernel (keeping its stash for the backward, or reading
 diagnostics off it), or one decode step against the session's KvCache.
 
-Training always runs ``vanilla_causal`` attention, whatever the model's
-mode; it equals lambda attention only when train_len <= min(n_local,
-l_pretrain), where the lambda mask is causal and no distance reaches the
-clamp. Both modes run the same trained weights.
+Training always runs ``vanilla_causal`` attention; it equals lambda
+attention only when train_len <= min(n_local, l_pretrain), where the lambda
+mask is causal and no distance reaches the clamp. The mode is an argument of
+each call (default ``lambda``), not of the model: both run the same weights.
 
 ``ToyModelConfig`` is the one declaration of the model's settings: the
 LMTM config block is written and read from its fields, and the CLI's model
@@ -64,7 +64,6 @@ class ToyModelConfig:
     l_pretrain: int = 128
     encoding: str = "rope"
     rope_base: float = 10000.0
-    mode: str = "lambda"
     seed: int = 0
 
     def __post_init__(self):
@@ -81,9 +80,9 @@ class ToyModelConfig:
             raise ValueError("train_len must be >= 8")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
-        # The attention, mask and encoding configs check head_dim, mode,
-        # window sizes and rope_base, so a bad config fails at construction.
-        self.attention_for(self.mode)
+        # The attention, mask and encoding configs check head_dim, window
+        # sizes and rope_base, so a bad config fails at construction.
+        self.attention_for("lambda")
 
     @property
     def head_dim(self) -> int:
@@ -285,23 +284,23 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
     return hf @ p["head"]
 
 
-def forward(model: ToyModel, tokens, mode: str | None = None) -> np.ndarray:
+def forward(model: ToyModel, tokens, mode: str = "lambda") -> np.ndarray:
     """Per-position logits over the vocabulary, shape (seq_len, vocab)."""
     ids = _check_ids(tokens, model.config.vocab_size)
     if ids.ndim != 1:
         raise ValueError(f"tokens must be one-dimensional, got shape {ids.shape}")
-    att_config = model.config.attention_for(mode or model.config.mode)
+    att_config = model.config.attention_for(mode)
     return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config)[0])
 
 
-def forward_traced(model: ToyModel, tokens, mode: str | None = None):
+def forward_traced(model: ToyModel, tokens, mode: str = "lambda"):
     """Forward plus a ModelTrace of per-layer row entropies, last-row
     logits and distances, and residual-stream states; used by the
     diagnostics module. Each layer's attention stash is dropped once read."""
     ids = _check_ids(tokens, model.config.vocab_size)
     if ids.ndim != 1:
         raise ValueError(f"tracing expects a single sequence, got shape {ids.shape}")
-    att_config = model.config.attention_for(mode or model.config.mode)
+    att_config = model.config.attention_for(mode)
     trace = ModelTrace(hidden=[], entropy=[], last_logits=[], last_distances=[])
 
     def attn(i, q, k, v):
@@ -315,7 +314,7 @@ def forward_traced(model: ToyModel, tokens, mode: str | None = None):
     return logits, trace
 
 
-def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
+def loss_and_grads(model: ToyModel, tokens, mode: str = "lambda"):
     """Mean next-token NLL over all positions of a batch (batch, seq_len) or
     a single sequence (seq_len,), plus parameter gradients.
 
@@ -328,7 +327,7 @@ def loss_and_grads(model: ToyModel, tokens, mode: str | None = None):
     ids = _check_ids(tokens, model.config.vocab_size)
     if ids.shape[-1] < 2:
         raise ValueError("need at least 2 tokens to form a prediction target")
-    att_config = model.config.attention_for(mode or model.config.mode)
+    att_config = model.config.attention_for(mode)
     n_pred = ids[..., 1:].size
     per_chunk = max(1, MICRO_BATCH_ROWS // (ids.shape[-1] - 1))
     chunks = [ids] if ids.ndim == 1 else [
@@ -448,9 +447,9 @@ def train(
 
     Windows are train_len+1 tokens (inputs plus shifted targets); sequences
     too short to provide one are ignored. Training always runs
-    vanilla_causal attention, whatever the model's mode. That equals lambda
-    attention only when train_len <= min(n_local, l_pretrain); longer
-    windows train on the dense causal mask at raw distances.
+    vanilla_causal attention. That equals lambda attention only when
+    train_len <= min(n_local, l_pretrain); longer windows train on the
+    dense causal mask at raw distances.
 
     The model is updated in place and also returned inside TrainResult.
     """
@@ -533,9 +532,9 @@ class DecodeSession:
     baseline).
     """
 
-    def __init__(self, model: ToyModel, mode: str | None = None):
+    def __init__(self, model: ToyModel, mode: str = "lambda"):
         self.model = model
-        self.mode = mode or model.config.mode
+        self.mode = mode
         self.cache = KvCache(model.config.attention_for(self.mode), model.config.n_layers)
 
     @property
@@ -551,11 +550,11 @@ class DecodeSession:
         The position moves only once every layer has attended, so a step
         that raised part-way can be retried or followed by another token.
         """
-        token = int(token)
-        if not 0 <= token < self.model.config.vocab_size:
-            raise ValueError(f"token id {token} outside vocabulary")
+        ids = _check_ids(token, self.model.config.vocab_size)
+        if ids.ndim:
+            raise ValueError(f"step takes one token id, got shape {ids.shape}")
         self.cache.begin()
-        logits = _forward(self.model, token, self.cache.attend, position=self.position)
+        logits = _forward(self.model, ids, self.cache.attend, position=self.position)
         self.cache.advance()
         return logits
 
@@ -564,7 +563,7 @@ def generate(
     model: ToyModel,
     prompt,
     n_new: int,
-    mode: str | None = None,
+    mode: str = "lambda",
     cache: DecodeSession | None = None,
 ) -> np.ndarray:
     """Greedy continuation of ``prompt``; returns the n_new generated ids.
@@ -578,7 +577,6 @@ def generate(
     ids = _check_ids(prompt, model.config.vocab_size)
     if ids.ndim != 1:
         raise ValueError(f"prompt must be one-dimensional, got shape {ids.shape}")
-    mode = mode or model.config.mode
     if cache is None:
         cache = DecodeSession(model, mode)
     if cache.mode != mode:

@@ -1,5 +1,7 @@
 """Run the suite's numpy on one BLAS thread, as the benchmark harness does,
-and share the greedy decoding oracle (``greedy_oracle``) between test files.
+and share the greedy decoding oracle (``greedy_oracle``) and the small model
+config (``tiny_config``, imported as ``from conftest import tiny_config``)
+between test files.
 
 The acceptance gates time how cost grows with length (criterion 7: encode
 time at 4x the length, per-token decode time at 4x the context). With two
@@ -31,7 +33,7 @@ def greedy_oracle():
 
     from lm_infinite.model import forward
 
-    def decode(model, prompt, n_new, mode=None):
+    def decode(model, prompt, n_new, mode="lambda"):
         context = [int(t) for t in prompt]
         for _ in range(n_new):
             logits = forward(model, np.asarray(context), mode=mode)
@@ -39,3 +41,22 @@ def greedy_oracle():
         return np.asarray(context[len(prompt):])
 
     return decode
+
+
+def tiny_config(**over):
+    """A two-layer d16 model over 31 tokens; keyword arguments override."""
+    from lm_infinite.model import ToyModelConfig
+
+    base = dict(
+        vocab_size=31,
+        d_model=16,
+        n_layers=2,
+        n_heads=2,
+        train_len=16,
+        n_global=2,
+        n_local=16,
+        l_pretrain=16,
+        seed=11,
+    )
+    base.update(over)
+    return ToyModelConfig(**base)

@@ -1,6 +1,5 @@
 """CLI contract tests: run main() in-process, assert on files and exit codes."""
 
-import os
 import subprocess
 import sys
 
@@ -288,6 +287,21 @@ def test_train_batch_error_does_not_name_the_corpus(tmp_path, capsys):
     assert "bad batch_shape (0, None)" in err and "corpus" not in err
 
 
+def test_train_takes_no_mode(tmp_path, capsys):
+    # The attention mode is an argument of generate, diag, eval and bench;
+    # training always runs vanilla_causal and saves no mode.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", *TINY, "--mode", "lambda"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("steps=1\nmode=lambda\n")
+    out = tmp_path / "run"
+    rc = cli.main(["train", *TINY, "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"{cfg}: line 2: unknown key 'mode'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("steps=5\nlr=0.01\nd-model=16\n")
@@ -404,6 +418,43 @@ def test_generate_prompt_takes_ascii_decimal_ids_only(token, via_file, trained_d
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{source}: bad token {token!r}" in err, err
+
+
+@pytest.mark.parametrize("via_file", [False, True])
+@pytest.mark.parametrize("prompt, message", [
+    ("1 2 300", "token id 300 outside vocabulary of size 31"),
+    ("", "empty token sequence"),
+])
+def test_generate_prompt_id_error_names_source(prompt, message, via_file,
+                                               trained_dir, tmp_path, capsys):
+    source = "--prompt"
+    if via_file:
+        source = str(tmp_path / "prompt.txt")
+        (tmp_path / "prompt.txt").write_text(prompt + "\n", encoding="utf-8")
+        prompt = f"@{source}"
+    rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
+                   "--prompt", prompt])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+
+
+def test_generate_n_new_zero_keeps_its_message(trained_dir, capsys):
+    rc = cli.main(["generate", "--model", str(trained_dir / "model.lmtm"),
+                   "--prompt", "1 2 3", "--n-new", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: n_new must be >= 1, got 0\n"
+
+
+def test_generate_and_diag_default_to_lambda(trained_dir, tmp_path, capsys):
+    model = str(trained_dir / "model.lmtm")
+    generate = ["generate", "--model", model, "--prompt", "1 2 3 4", "--n-new", "30"]
+    diag = ["diag", "--model", model, "--corpus", str(trained_dir / "corpus.txt")]
+    runs = []
+    for mode in ([], ["--mode", "lambda"], ["--mode", "vanilla"]):
+        assert cli.main([*generate, *mode]) == 0
+        runs.append(_run_in(tmp_path / "diag", [*diag, *mode], capsys))
+    assert runs[0] == runs[1]  # generate's tokens, diag's line and reports
+    assert runs[0] != runs[2]
 
 
 def test_generate_reports_nan_as_user_error(trained_dir, monkeypatch, capsys):
@@ -539,22 +590,41 @@ def test_bench_prints_timings(trained_dir, capsys):
     assert "peak_cache_entries=" in line
 
 
+def test_bench_out_writes_the_printed_row(trained_dir, tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc = cli.main(["bench", "--model", str(trained_dir / "model.lmtm"),
+                   "--seq-len", "24", "--repeats", "3", "--decode-tokens", "4",
+                   "--out", str(out)])
+    assert rc == 0
+    printed = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    header, row = (out / "bench.csv").read_text().splitlines()
+    assert header == ("mode,seq_len,encode_seconds,decode_seconds_per_token,"
+                      "peak_cache_entries,repeats")
+    mode, seq_len, encode, decode, peak, repeats = row.split(",")
+    assert printed == {
+        "mode": mode, "seq_len": seq_len, "encode_s": f"{float(encode):.4f}",
+        "decode_s_per_token": f"{float(decode):.6f}", "peak_cache_entries": peak,
+    }
+    assert (mode, seq_len, repeats) == ("lambda", "24", "3")
+    eff = (out / "effective_config.txt").read_text().splitlines()
+    assert "mode=lambda" in eff and "seq_len=24" in eff and "out=" + str(out) in eff
+
+
 # ---------------------------------------------------------------------------
 # script entry
 # ---------------------------------------------------------------------------
 
 
 def test_module_entry_subprocess():
-    env = dict(os.environ, LMINF_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "lm_infinite.cli", "mask", "--seq-len", "5",
          "--n-global", "1", "--n-local", "2"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[0] == "0: global=[0,0) local=[0,1)"
     proc = subprocess.run(
         [sys.executable, "-m", "lm_infinite.cli", "mask", "--seq-len", "0"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 1  # seq_len must be positive -> ValueError

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
 from lm_infinite import cli
 from lm_infinite.corpus import SyntheticLanguage
@@ -21,23 +22,7 @@ from lm_infinite.evaluation import (
     vanilla_op_count,
     write_eval_csv,
 )
-from lm_infinite.model import ToyModelConfig, init, train
-
-
-def tiny_config(**over):
-    base = dict(
-        vocab_size=31,
-        d_model=16,
-        n_layers=2,
-        n_heads=2,
-        train_len=16,
-        n_global=2,
-        n_local=16,
-        l_pretrain=16,
-        seed=11,
-    )
-    base.update(over)
-    return ToyModelConfig(**base)
+from lm_infinite.model import init, train
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Trainable toy transformer: init, forward, gradients, decoding, checkpoints."""
 
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from conftest import tiny_config
 
 from lm_infinite.corpus import SyntheticLanguage
 from lm_infinite.errors import (
@@ -16,7 +18,6 @@ from lm_infinite.errors import (
 from lm_infinite.model import (
     DecodeSession,
     ToyModel,
-    ToyModelConfig,
     forward,
     forward_traced,
     generate,
@@ -26,22 +27,6 @@ from lm_infinite.model import (
     save_model,
     train,
 )
-
-
-def tiny_config(**over):
-    base = dict(
-        vocab_size=31,
-        d_model=16,
-        n_layers=2,
-        n_heads=2,
-        train_len=16,
-        n_global=2,
-        n_local=16,
-        l_pretrain=16,
-        seed=11,
-    )
-    base.update(over)
-    return ToyModelConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +381,27 @@ def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
         assert sess.peak_cache_entries() == bound
 
 
+@pytest.mark.parametrize("token, message", [
+    (3.7, "token ids must be integers, got dtype float64"),
+    (31, "token id 31 outside vocabulary of size 31"),
+    (-1, "token id -1 outside vocabulary of size 31"),
+    ([3], "step takes one token id, got shape (1,)"),
+])
+def test_step_checks_its_token(token, message):
+    sess = DecodeSession(init(tiny_config()), "lambda")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sess.step(token)
+    assert sess.position == 0
+
+
+def test_step_takes_numpy_and_python_ints():
+    model = init(tiny_config())
+    by_int, by_numpy = DecodeSession(model), DecodeSession(model)
+    for t in (3, 30, 0):
+        np.testing.assert_array_equal(by_int.step(t), by_numpy.step(np.int64(t)))
+    np.testing.assert_array_equal(by_int.step(5), by_numpy.step(np.uint32(5)))
+
+
 def test_lambda_session_cache_is_bounded():
     cfg = tiny_config()
     model = init(cfg)
@@ -599,10 +605,10 @@ def test_load_rejects_unknown_config_key_and_tensor(tmp_path):
     with pytest.raises(ValueError, match="unknown config key 'sead'"):
         load_model(bad_key)
 
-    bad_mode = tmp_path / "mode.lmtm"
-    bad_mode.write_bytes(blob.replace(b"mode=lambda", b"mode=lambdX"))
-    with pytest.raises(ValueError, match="mode must be one of"):
-        load_model(bad_mode)
+    bad_value = tmp_path / "value.lmtm"
+    bad_value.write_bytes(blob.replace(b"encoding=rope", b"encoding=ropX"))
+    with pytest.raises(ValueError, match="encoding must be one of"):
+        load_model(bad_value)
 
     extra = tmp_path / "extra.lmtm"
     name = b"layer9/attn/wq"
@@ -629,9 +635,31 @@ def test_load_rejects_non_finite_tensor_value(tmp_path, value):
     )
 
 
-def test_config_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode must be one of"):
-        tiny_config(mode="lambdX")
+def test_checkpoint_carries_no_mode(tmp_path):
+    # The mode is chosen per call, so an LMTM file with a mode= line (as
+    # written before it left the config) fails to load, naming the file.
+    path = tmp_path / "m.lmtm"
+    save_model(init(tiny_config()), path)
+    blob = path.read_bytes()
+    assert b"mode=" not in blob
+    old = tmp_path / "old.lmtm"
+    with_mode = blob.replace(b"seed=11\n", b"mode=lambda\nseed=11\n")
+    n = struct.unpack_from("<I", blob, 8)[0] + len(b"mode=lambda\n")
+    old.write_bytes(with_mode[:8] + struct.pack("<I", n) + with_mode[12:])
+    with pytest.raises(ValueError) as exc:
+        load_model(old)
+    assert str(exc.value) == f"{old}: unknown config key 'mode'"
+
+
+def test_bad_mode_raises_in_forward_session_and_generate():
+    model = init(tiny_config())
+    for call in (
+        lambda: forward(model, [1, 2, 3], mode="lambdX"),
+        lambda: DecodeSession(model, "lambdX"),
+        lambda: generate(model, [1, 2, 3], 2, mode="lambdX"),
+    ):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            call()
 
 
 @pytest.mark.parametrize("over, message", [
