@@ -24,11 +24,13 @@ R(-l_pretrain) k_j is formed once per pinned key and dotted with the raw
 query, so no query is ever rotated to the clamp. Alibi subtracts
 slope * min(i - j, l_pretrain).
 
-``attend`` returns the values and a stash of each block's weights;
-``attend_backward`` walks the same blocks, and diagnostics read row
-entropies, single rows and the last row's logits off the same stash.
-Leading batch axes broadcast. ``KvCache.attend`` scores one decode step
-with the same logit and softmax code. Everything runs in float64.
+``_attend_block`` is the block body: logits with the far-key swap, the
+mask, the softmax and the weighted values. The kernel calls it once per
+block; ``KvCache.attend`` calls it once per prefill chunk or decode step,
+over the cache's keys. ``attend`` returns the values and a stash of each
+block's weights; ``attend_backward`` walks the same blocks, and diagnostics
+read row entropies, single rows and the last row's logits off the same
+stash. Leading batch axes broadcast. Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -148,6 +150,22 @@ def _logits(qn, kn, dist, config, clamp, far=None):
     return z
 
 
+def _attend_block(qn, kn, vn, dist, masked, config, clamp, far=None, out=None):
+    """One block of attention, the body shared by the kernel and the cache.
+
+    Scores the query rows ``qn`` against the keys ``kn`` (both head-major,
+    as for ``_logits``) at distances ``dist`` (rows, keys), sets the
+    ``masked`` entries (None: none) to -inf, takes the row softmax and
+    weighs the values ``vn``. Returns (values, weights); the values are
+    written to ``out`` if it is given.
+    """
+    z = _logits(qn, kn, dist, config, clamp, far)
+    if masked is not None:
+        np.copyto(z, -np.inf, where=masked)
+    w = _softmax(z)
+    return np.matmul(w, vn, out=out), w
+
+
 def _block_keys(s, e, G, W):
     """Key columns of query block [s, e): pinned [0, g) then band [lo, e)."""
     g = min(G, e)
@@ -155,7 +173,18 @@ def _block_keys(s, e, G, W):
     js = np.concatenate([np.arange(g), np.arange(lo, e)])
     dist = np.arange(s, e)[:, None] - js
     allowed = (dist >= 0) & ((dist < W) | (js < G))
-    return g, js, dist, allowed
+    return g, lo, js, dist, allowed
+
+
+def rope_table(config: AttentionConfig, seq_len: int):
+    """(cos, sin) of positions 0 .. seq_len - 1 under RoPE, else None.
+
+    A pass over several layers builds it once and hands it to each layer's
+    ``attend``.
+    """
+    if not config.is_rope:
+        return None
+    return rope_cos_sin(np.arange(seq_len), config.encoding)
 
 
 @dataclass
@@ -170,7 +199,6 @@ class _Stash:
     qf: np.ndarray | None = None  # raw queries, scored against far keys
     kf: np.ndarray | None = None  # far keys R(-clamp) k of the pinned rows
     rope_clamp: tuple | None = None  # (cos, sin) of the clamp
-    last_logits: np.ndarray | None = None  # (..., H, n): row(-1)'s masked logits
 
     def entropy(self) -> np.ndarray:
         """Row entropies (nats), shape (..., n_heads, seq_len)."""
@@ -182,15 +210,28 @@ class _Stash:
         G, W, clamp = self.window
         i = range(self.qn.shape[-2])[i]
         s, e, w, _ = next(b for b in self.blocks if b[0] <= i < b[1])
-        _, js, dist, allowed = _block_keys(s, e, G, W)
+        _, _, js, dist, allowed = _block_keys(s, e, G, W)
         cols = allowed[i - s]
         d = dist[i - s, cols]
         return js[cols], w[..., i - s, cols], d if clamp is None else np.minimum(d, clamp)
 
+    @property
+    def last_logits(self) -> np.ndarray:
+        """The last row's masked logits (..., n_heads, n), in row(-1)'s key
+        order; recomputed for that one row, since the blocks keep weights."""
+        G, W, clamp = self.window
+        s, e, _, far = self.blocks[-1]
+        g, _, js, dist, allowed = _block_keys(s, e, G, W)
+        far = (self.qf[..., -1:, :], self.kf[..., :g, :]) if far else None
+        q = self.qn[..., -1:, :]
+        z = _logits(q, self.kn[..., js, :], dist[-1:], self.config, clamp, far)
+        return z[..., 0, allowed[-1]]
 
-def _forward(q, k, v, config):
+
+def _forward(q, k, v, config, rope=None):
     """Blocked forward over (..., seq_len, n_heads, head_dim) inputs.
 
+    ``rope`` is ``rope_table(config, seq_len)``, built here if None.
     Returns head-major values and the stash.
     """
     seq_len = q.shape[-3]
@@ -205,24 +246,20 @@ def _forward(q, k, v, config):
             stash.rope_clamp = cos_c, sin_c = rope_cos_sin(clamp, config.encoding)
             stash.qf = qn
             stash.kf = apply_rotation_f64(kn[..., :G, :], cos_c, -sin_c)
-        stash.rope = rope_cos_sin(np.arange(seq_len), config.encoding)
+        stash.rope = rope_table(config, seq_len) if rope is None else rope
         stash.qn = qn = apply_rotation_f64(qn, *stash.rope)
         stash.kn = kn = apply_rotation_f64(kn, *stash.rope)
 
     out = np.empty_like(qn)
     for s in range(0, seq_len, block):
         e = min(s + block, seq_len)
-        g, js, dist, allowed = _block_keys(s, e, G, W)
+        g, _, js, dist, allowed = _block_keys(s, e, G, W)
         far = stash.qf is not None and e - 1 > clamp
-        z = _logits(
-            qn[..., s:e, :], kn[..., js, :], dist, config, clamp,
-            (stash.qf[..., s:e, :], stash.kf[..., :g, :]) if far else None,
+        _, w = _attend_block(
+            qn[..., s:e, :], kn[..., js, :], vh[..., js, :], dist, ~allowed, config,
+            clamp, (stash.qf[..., s:e, :], stash.kf[..., :g, :]) if far else None,
+            out=out[..., s:e, :],
         )
-        np.copyto(z, -np.inf, where=~allowed)
-        if e == seq_len:
-            stash.last_logits = z[..., -1, allowed[-1]]
-        w = _softmax(z)
-        np.matmul(w, vh[..., js, :], out=out[..., s:e, :])
         stash.blocks.append((s, e, w, far))
     return out, stash
 
@@ -241,9 +278,11 @@ def _backward(stash: _Stash, d_out):
         dkf = np.zeros_like(stash.kf)
 
     for s, e, w, far in stash.blocks:
-        g, js, dist, _ = _block_keys(s, e, G, W)
+        g, lo, js, dist, _ = _block_keys(s, e, G, W)
         do = d_out[..., s:e, :]
-        dv[..., js, :] += np.swapaxes(w, -1, -2) @ do
+        dvb = np.swapaxes(w, -1, -2) @ do
+        dv[..., :g, :] += dvb[..., :g, :]
+        dv[..., lo:e, :] += dvb[..., g:, :]
         dw = do @ np.swapaxes(vh[..., js, :], -1, -2)
         dw -= np.sum(dw * w, axis=-1, keepdims=True)
         dz = np.multiply(dw, w, out=dw)
@@ -254,7 +293,9 @@ def _backward(stash: _Stash, d_out):
             dqf[..., s:e, :] = (dzf @ stash.kf[..., :g, :]) * scale
             dkf[..., :g, :] += (np.swapaxes(dzf, -1, -2) @ stash.qf[..., s:e, :]) * scale
         dqn[..., s:e, :] = (dz @ kn[..., js, :]) * scale
-        dkn[..., js, :] += (np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]) * scale
+        dkb = (np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]) * scale
+        dkn[..., :g, :] += dkb[..., :g, :]
+        dkn[..., lo:e, :] += dkb[..., g:, :]
 
     dq, dk = dqn, dkn
     if config.is_rope:
@@ -290,15 +331,16 @@ def _validate_qkv(q_seq, k_seq, v_seq, config):
     return q, k, v
 
 
-def attend(q_seq, k_seq, v_seq, config: AttentionConfig):
+def attend(q_seq, k_seq, v_seq, config: AttentionConfig, rope=None):
     """Full-sequence attention over (..., seq_len, n_heads, head_dim) inputs.
 
-    Returns (values, stash): values shaped like q, and the stash that
-    attend_backward needs. The stash also answers diagnostics: entropy(),
-    row(i) and last_logits.
+    ``rope`` is ``rope_table(config, seq_len)``, passed in so that the
+    layers of one pass share it; it is built here if None. Returns (values,
+    stash): values shaped like q, and the stash that attend_backward needs.
+    The stash also answers diagnostics: entropy(), row(i) and last_logits.
     """
     q, k, v = _validate_qkv(q_seq, k_seq, v_seq, config)
-    out, stash = _forward(q, k, v, config)
+    out, stash = _forward(q, k, v, config, rope)
     return np.swapaxes(out, -3, -2), stash
 
 

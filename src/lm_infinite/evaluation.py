@@ -92,12 +92,15 @@ def _log_softmax(rows):
 
 
 def nll_curve(model, corpus, milestones, mode: str = "lambda"):
-    """Per-milestone NLL in a trailing window, one forward pass per sequence.
+    """Per-milestone NLL in a trailing window, one streamed pass per sequence.
 
-    Each sequence is run once at its largest qualifying milestone; smaller
-    milestones reuse rows of the same pass (causality makes them identical
-    to truncated passes). Sequences shorter than a milestone are skipped
-    and counted.
+    Each sequence is run once, up to its largest qualifying milestone,
+    through a fresh DecodeSession's prefill, one cache chunk at a time. A
+    chunk's logits are dropped once the target log-probabilities inside the
+    milestone windows are read off them, so a lambda curve runs in memory
+    bounded whatever the length. Smaller milestones reuse rows of the same
+    pass (causality makes them identical to truncated passes). Sequences
+    shorter than a milestone are skipped and counted.
     """
     ms = _spec(milestones).milestones
     corpus = [np.asarray(s) for s in corpus]
@@ -111,13 +114,20 @@ def nll_curve(model, corpus, milestones, mode: str = "lambda"):
         if top is None:
             continue
         ids = seq[:top].astype(np.int64)
-        logp = _log_softmax(forward(model, ids, mode=mode))
-        for m in ms:
-            if m > top:
-                continue
-            lo = max(1, m - NLL_WINDOW)
-            rows = logp[np.arange(lo - 1, m - 1), ids[lo:m]]
-            parts[m].extend((-rows).tolist())
+        windows = [(m, max(1, m - NLL_WINDOW) - 1) for m in ms if m <= top]
+        session = DecodeSession(model, mode)
+        size = session.cache.max_chunk
+        # Row r predicts ids[r + 1], so the last token is never fed.
+        for s in range(0, top - 1, size):
+            e = min(s + size, top - 1)
+            logits = session.prefill(ids[s:e])
+            for m, first in windows:
+                a, b = max(s, first), min(e, m - 1)
+                if a < b:
+                    logp = _log_softmax(logits[a - s : b - s])
+                    rows = logp[np.arange(b - a), ids[a + 1 : b + 1]]
+                    parts[m].extend((-rows).tolist())
+        for m, _ in windows:
             counts[m] += 1
 
     points = []
@@ -312,8 +322,7 @@ def bench(model, seq_len: int, mode: str = "lambda", repeats: int = 5,
 
     # One prefill (untimed), then timed batches of steps at ~seq_len context.
     session = DecodeSession(model, mode)
-    for t in stream[:seq_len]:
-        session.step(int(t))
+    session.prefill(stream[:seq_len])
     decode_times = []
     for r in range(repeats):
         t0 = time.perf_counter()

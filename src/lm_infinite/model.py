@@ -5,9 +5,9 @@ GeLU MLP, residual] -> final layer norm -> untied LM head. Everything is
 float64 numpy; gradients are hand-written and finite-difference checked.
 
 The layer stack is written once, in ``_forward``. Encode, tracing,
-training and streaming decode differ only in the attention they pass it:
-the blocked kernel (keeping its stash for the backward, or reading
-diagnostics off it), or one decode step against the session's KvCache.
+training and streaming differ only in the attention they pass it: the
+blocked kernel (keeping its stash for the backward, or reading diagnostics
+off it), or one prefill chunk or decode step against the session's KvCache.
 
 Training always runs ``vanilla_causal`` attention; it equals lambda
 attention only when train_len <= min(n_local, l_pretrain), where the lambda
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from lm_infinite.attention import AttentionConfig, attend, attend_backward
+from lm_infinite.attention import AttentionConfig, attend, attend_backward, rope_table
 from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
@@ -290,7 +290,8 @@ def forward(model: ToyModel, tokens, mode: str = "lambda") -> np.ndarray:
     if ids.ndim != 1:
         raise ValueError(f"tokens must be one-dimensional, got shape {ids.shape}")
     att_config = model.config.attention_for(mode)
-    return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config)[0])
+    rope = rope_table(att_config, ids.size)
+    return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config, rope)[0])
 
 
 def forward_traced(model: ToyModel, tokens, mode: str = "lambda"):
@@ -301,10 +302,11 @@ def forward_traced(model: ToyModel, tokens, mode: str = "lambda"):
     if ids.ndim != 1:
         raise ValueError(f"tracing expects a single sequence, got shape {ids.shape}")
     att_config = model.config.attention_for(mode)
+    rope = rope_table(att_config, ids.size)
     trace = ModelTrace(hidden=[], entropy=[], last_logits=[], last_distances=[])
 
     def attn(i, q, k, v):
-        values, stash = attend(q, k, v, att_config)
+        values, stash = attend(q, k, v, att_config, rope)
         trace.entropy.append(stash.entropy())
         trace.last_logits.append(stash.last_logits)
         trace.last_distances.append(stash.row(-1)[2])
@@ -346,6 +348,7 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
     cfg = model.config
     p = model.params
     inputs, targets = ids[..., :-1], ids[..., 1:]
+    rope = rope_table(att_config, inputs.shape[-1])
     att_stashes = []
 
     def add(name, g):
@@ -355,7 +358,7 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
             grads[name] = g
 
     def attn(i, q, k, v):
-        a, att_stash = attend(q, k, v, att_config)
+        a, att_stash = attend(q, k, v, att_config, rope)
         att_stashes.append(att_stash)
         return a
 
@@ -522,14 +525,16 @@ def train(
 
 
 class DecodeSession:
-    """Streaming per-token decoding state for one sequence.
+    """Streaming decoding state for one sequence.
 
-    step() runs the model's one layer stack (``_forward``) on a single
-    token; only its attention differs from a full forward: the session's
-    one KvCache, which holds every layer's keys and values at one shared
-    position. The cache is bounded to the pinned prefix plus the window in
-    lambda mode and grows without bound in vanilla mode (the quadratic
-    baseline).
+    prefill() runs the model's one layer stack (``_forward``) over chunks
+    of up to ``attention.BLOCK`` tokens, and step() over a single token,
+    the C = 1 case. Only the attention differs from a full forward: the
+    session's one KvCache, which holds every layer's keys and values at one
+    shared position. The cache is bounded to the pinned prefix plus the
+    window in lambda mode, so a lambda prefill runs in memory bounded
+    whatever the length; in vanilla mode it grows without bound (the
+    quadratic baseline).
     """
 
     def __init__(self, model: ToyModel, mode: str = "lambda"):
@@ -553,7 +558,26 @@ class DecodeSession:
         ids = _check_ids(token, self.model.config.vocab_size)
         if ids.ndim:
             raise ValueError(f"step takes one token id, got shape {ids.shape}")
-        self.cache.begin()
+        return self._feed(ids)
+
+    def prefill(self, tokens) -> np.ndarray:
+        """Consume a token sequence, return its logits (n, vocab): row r
+        holds the next-position logits after tokens[r].
+
+        The tokens go through in chunks of up to ``cache.max_chunk``; a chunk
+        that raises leaves the position at its first token, with every
+        earlier chunk consumed, so the session stays usable.
+        """
+        ids = _check_ids(tokens, self.model.config.vocab_size)
+        if ids.ndim != 1:
+            raise ValueError(f"prefill takes one token sequence, got shape {ids.shape}")
+        size = self.cache.max_chunk
+        chunks = [ids[s : s + size] for s in range(0, ids.size, size)]
+        return np.concatenate([self._feed(chunk) for chunk in chunks])
+
+    def _feed(self, ids):
+        """One chunk (or, for a scalar, one step) through the layer stack."""
+        self.cache.begin(ids.size)
         logits = _forward(self.model, ids, self.cache.attend, position=self.position)
         self.cache.advance()
         return logits

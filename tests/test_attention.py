@@ -466,3 +466,38 @@ def test_streaming_matches_blocks_with_far_pinned_keys(small_blocks, kind):
             step = decode_step(cache, q[i], k[i], v[i])
             assert np.allclose(step, full[i].reshape(-1), atol=1e-12), (n_global, i)
             assert np.sort(cache.positions).tolist() == stash.row(i)[0].tolist()
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+@pytest.mark.parametrize("branches", BLOCK_CASES)
+def test_cache_chunks_match_blocks(small_blocks, mode, kind, branches):
+    # KvCache chunks of up to BLOCK = 4 rows, in runs that put chunk starts
+    # at every ring alignment, reproduce attend()'s rows; after each chunk
+    # the cache keeps exactly the keys of the chunk's last row.
+    config = make_config(mode, kind, *branches)
+    rng = np.random.default_rng(21)
+    seq_len = 19
+    q, k, v = random_qkv(rng, seq_len)
+    full, stash = attend(q, k, v, config)
+    for sizes in ((4,), (3,), (1, 4, 2)):
+        cache = KvCache(config, 1)
+        s = 0
+        for i in range(seq_len):
+            if s == seq_len:
+                break
+            e = min(s + sizes[i % len(sizes)], seq_len)
+            cache.begin(e - s)
+            got = cache.attend(0, q[s:e], k[s:e], v[s:e])
+            cache.advance()
+            assert np.allclose(got, full[s:e].reshape(-1), atol=1e-12, rtol=0), (sizes, s)
+            assert np.sort(cache.positions).tolist() == stash.row(e - 1)[0].tolist()
+            s = e
+        assert cache.next_position == seq_len
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_cache_chunk_holds_one_to_block_rows(small_blocks, n):
+    cache = KvCache(make_config("lambda", "rope"), 1)
+    with pytest.raises(ValueError, match="a chunk holds 1 to 4 positions"):
+        cache.begin(n)

@@ -22,7 +22,7 @@ from lm_infinite.evaluation import (
     vanilla_op_count,
     write_eval_csv,
 )
-from lm_infinite.model import init, train
+from lm_infinite.model import forward, init, train
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,48 @@ def test_nll_window_matches_direct_computation():
     assert points[1].nll == pytest.approx(direct(64), abs=1e-10)
     # small milestone: window runs [1, m), i.e. m-1 scored tokens per seq
     assert points[0].n_tokens == 7 * len(corpus)
+
+
+def test_lambda_nll_curve_memory_is_bounded():
+    # With train_len 64, 2x is one chunk of BLOCK = 128 rows and 16x eight:
+    # the lambda peak stays flat. The same measure sees the vanilla cache
+    # and its chunk logits grow with the length.
+    import tracemalloc
+
+    cfg = tiny_config(train_len=64)
+    model = init(cfg)
+    seq = SyntheticLanguage(vocab_size=31, seed=3).sample(1, 16 * cfg.train_len, seed=4)[0]
+    peaks = {}
+    for mode in ("lambda", "vanilla_causal"):
+        for mult in (2, 16):
+            ms = [m * cfg.train_len for m in (1, 2, 4, 8, 16) if m <= mult]
+            tracemalloc.start()
+            try:
+                nll_curve(model, [seq[: mult * cfg.train_len]], ms, mode=mode)
+                peaks[mode, mult] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["lambda", 16] <= 1.5 * peaks["lambda", 2], peaks
+    assert peaks["vanilla_causal", 16] > 2 * peaks["vanilla_causal", 2], peaks
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_nll_curve_matches_full_forward_in_both_modes(encoding):
+    # The streamed pass reads the same log-probabilities as one forward over
+    # the sequence, past several chunks and the clamp.
+    model = init(tiny_config(encoding=encoding))
+    corpus = SyntheticLanguage(vocab_size=31, seed=8).sample(2, 300, seed=9)
+    for mode in ("lambda", "vanilla_causal"):
+        points = nll_curve(model, corpus, (16, 64, 290), mode=mode)
+        for p in points:
+            parts = []
+            for seq in corpus:
+                lg = forward(model, seq[:290].astype(np.int64), mode=mode)
+                z = lg - lg.max(axis=-1, keepdims=True)
+                lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+                lo = max(1, p.milestone - 32)
+                parts += [-float(lp[r - 1, seq[r]]) for r in range(lo, p.milestone)]
+            assert p.nll == pytest.approx(math.fsum(parts) / len(parts), abs=1e-12, rel=0)
 
 
 # ---------------------------------------------------------------------------

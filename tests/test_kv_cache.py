@@ -6,7 +6,7 @@ back as the key that was stepped."""
 import numpy as np
 import pytest
 
-from lm_infinite.attention import AttentionConfig, attend
+from lm_infinite.attention import BLOCK, AttentionConfig, attend
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import CacheStateError
 from lm_infinite.kv_cache import KvCache
@@ -135,7 +135,10 @@ def test_memory_bound_over_long_fuzz():
         store(cache, np.full(8, float(t)), np.full(8, float(t)))
         assert len(cache) <= cap
     assert stored(cache) == [0, 1, 2] + list(range(99_993, 100_000))
-    assert cache.keys.base.shape[1] == cap  # preallocated once, never regrown
+    # Allocated once, never regrown: head-major (layers, heads, slots,
+    # head_dim), with slots for the kept entries plus a prefill chunk's
+    # scratch.
+    assert cache.keys.base.shape == (1, 2, cap + BLOCK - 1, 4)
 
 
 def test_vanilla_cache_grows_and_never_evicts():

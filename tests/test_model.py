@@ -170,9 +170,9 @@ def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
     rows = []
     real = model_module.attend
 
-    def recording(q, k, v, config):
+    def recording(q, k, v, config, rope):
         rows.append(q.shape[-3])
-        return real(q, k, v, config)
+        return real(q, k, v, config, rope)
 
     monkeypatch.setattr(model_module, "attend", recording)
     model = init(tiny_config())
@@ -196,9 +196,9 @@ def test_micro_batches_equal_one_chunk(monkeypatch, mode, encoding):
     attend_rows = []
     real = model_module.attend
 
-    def recording(q, k, v, config):
+    def recording(q, k, v, config, rope):
         attend_rows.append(q.shape[0])
-        return real(q, k, v, config)
+        return real(q, k, v, config, rope)
 
     monkeypatch.setattr(model_module, "attend", recording)
     monkeypatch.setattr(model_module, "MICRO_BATCH_ROWS", 40)  # 2 sequences a chunk
@@ -361,11 +361,14 @@ def test_session_logits_match_full_forward():
 
 
 @pytest.mark.parametrize("encoding", ["rope", "alibi"])
-@pytest.mark.parametrize("n_global", [0, 2])
+@pytest.mark.parametrize("n_global", [0, 2, 10])
 def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
     # Blocks of 8 rows: 45 tokens span five kernel blocks, the lambda window
     # evicts and pinned keys pass the clamp, and the vanilla cache doubles
-    # from 16 to 32 to 64 slots.
+    # from 16 to 32 to 64 slots. Prefill runs chunks of 8 too: each cut
+    # splits the tokens between a first prefill and a second prefill or
+    # single steps, so chunks start at every ring alignment and scratch rows
+    # move into the ring; cuts 1 and 5 stop inside a pinned prefix of 10.
     import lm_infinite.attention as attention
 
     monkeypatch.setattr(attention, "BLOCK", 8)
@@ -379,6 +382,106 @@ def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
         np.testing.assert_allclose(stepped, full, atol=1e-12, rtol=0)
         bound = n_global + 6 if mode == "lambda" else len(ids)
         assert sess.peak_cache_entries() == bound
+        for cut in (1, 5, 8, 13, 45):
+            by_prefill, then_steps = DecodeSession(model, mode), DecodeSession(model, mode)
+            head = by_prefill.prefill(ids[:cut])
+            np.testing.assert_array_equal(head, then_steps.prefill(ids[:cut]))
+            rest = [by_prefill.prefill(ids[cut:])] if cut < len(ids) else []
+            got = {
+                "prefill": np.concatenate([head] + rest),
+                "steps": np.concatenate(
+                    [head] + [then_steps.step(int(t))[None] for t in ids[cut:]]
+                ),
+            }
+            for name, logits in got.items():
+                for want in (full, stepped):
+                    np.testing.assert_allclose(logits, want, atol=1e-12, rtol=0,
+                                               err_msg=f"{mode} {cut} {name}")
+                assert np.array_equal(logits.argmax(-1), full.argmax(-1))
+            assert by_prefill.peak_cache_entries() == bound
+            assert by_prefill.position == len(ids)
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_prefill_at_default_block_matches_forward(encoding, mode):
+    # 300 tokens are two full chunks of BLOCK = 128 and a partial one.
+    model = init(tiny_config(encoding=encoding))
+    ids = (np.arange(300) * 11 + 4) % 31
+    full = forward(model, ids, mode=mode)
+    sess = DecodeSession(model, mode)
+    got = np.concatenate([sess.prefill(ids[:200]), sess.prefill(ids[200:])])
+    np.testing.assert_allclose(got, full, atol=1e-12, rtol=0)
+    assert np.array_equal(got.argmax(-1), full.argmax(-1))
+    np.testing.assert_allclose(
+        sess.step(5), forward(model, np.append(ids, 5), mode=mode)[-1], atol=1e-12, rtol=0
+    )
+
+
+@pytest.mark.parametrize("poison, message", [
+    ("embedding", "layer 0: NaN in attention input q at row 11"),
+    ("layer1/attn/wq", "layer 1: NaN in attention input q at row 0"),
+    ("layer0/attn/wo", "NaN after attention in layer 0, position 0"),
+])
+def test_prefill_nan_message_matches_forward(monkeypatch, poison, message):
+    # Chunks of 8: a NaN embedding row at position 11 fails the second
+    # chunk, with the row the full forward names; the first stays consumed.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = init(tiny_config())
+    ids = 8 + np.arange(20) % 6
+    ids[11] = 7
+    if poison == "embedding":
+        model.params["embedding"][7] = np.nan
+    else:
+        model.params[poison][:] = np.nan
+    with pytest.raises(NanDetectedError) as full:
+        forward(model, ids)
+    sess = DecodeSession(model)
+    with pytest.raises(NanDetectedError) as chunk:
+        sess.prefill(ids)
+    assert str(full.value) == message
+    assert str(chunk.value) == message
+    assert sess.position == (8 if poison == "embedding" else 0)
+
+
+@pytest.mark.parametrize("mode, position", [
+    ("lambda", 1), ("lambda", 20), ("vanilla_causal", 1), ("vanilla_causal", 16),
+])
+def test_prefill_failing_past_layer0_keeps_session_usable(mode, position):
+    # NaN after layer 0's attention: layer 0 has stored the 30-token chunk,
+    # layer 1 none of it. The position does not move, and the next step and
+    # prefill rewrite those slots in every layer. From 20 the lambda chunk's
+    # first write evicted position 4 and its other rows sat in scratch
+    # slots; from 16 the vanilla cache had to grow.
+    model = init(tiny_config())
+    sess, fresh = DecodeSession(model, mode), DecodeSession(model, mode)
+    warm = np.arange(position) % 31
+    sess.prefill(warm)
+    fresh.prefill(warm)
+    wo = model.params["layer0/attn/wo"].copy()
+    model.params["layer0/attn/wo"][:] = np.nan
+    with pytest.raises(NanDetectedError):
+        sess.prefill((np.arange(30) * 2) % 31)
+    model.params["layer0/attn/wo"][:] = wo
+    assert sess.position == position
+    np.testing.assert_array_equal(sess.step(5), fresh.step(5))
+    tail = (np.arange(25) * 5 + 3) % 31
+    np.testing.assert_array_equal(sess.prefill(tail), fresh.prefill(tail))
+    np.testing.assert_array_equal(sess.step(3), fresh.step(3))
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (np.ones((2, 3), dtype=np.int64), "prefill takes one token sequence, got shape (2, 3)"),
+    ([], "empty token sequence"),
+    ([1, 31], "token id 31 outside vocabulary of size 31"),
+])
+def test_prefill_checks_its_tokens(tokens, message):
+    sess = DecodeSession(init(tiny_config()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sess.prefill(tokens)
+    assert sess.position == 0
 
 
 @pytest.mark.parametrize("token, message", [
