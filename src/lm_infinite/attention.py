@@ -129,9 +129,10 @@ def _logits(qn, kn, dist, config, clamp, far=None):
     """Scaled logits (..., H, rows, keys) at query-key distances ``dist``.
 
     ``qn``/``kn`` are head-major (..., H, n, head_dim), rotated to their own
-    positions under RoPE and raw under Alibi. ``far`` = (qf, kf) holds the
-    raw queries and the far keys R(-clamp) k of the leading pinned columns;
-    under RoPE those columns take <qf, kf> wherever dist exceeds the clamp.
+    positions under RoPE and raw under Alibi. ``far`` = (qf, kf, is_far)
+    holds the raw queries, the far keys R(-clamp) k of the g leading pinned
+    columns and the (rows, g) mask of dist > clamp; under RoPE those columns
+    take <qf, kf> where the mask is set.
     """
     scale = 1.0 / math.sqrt(config.head_dim)
     z = qn @ np.swapaxes(kn, -1, -2)
@@ -143,10 +144,9 @@ def _logits(qn, kn, dist, config, clamp, far=None):
             z[..., h, :, :] -= slope * d
         return z
     if far is not None:
-        qf, kf = far
-        g = kf.shape[-2]
+        qf, kf, is_far = far
         zf = (qf @ np.swapaxes(kf, -1, -2)) * scale
-        z[..., :g] = np.where(dist[:, :g] > clamp, zf, z[..., :g])
+        np.copyto(z[..., : kf.shape[-2]], zf, where=is_far)
     return z
 
 
@@ -177,14 +177,16 @@ def _block_keys(s, e, G, W):
 
 
 def rope_table(config: AttentionConfig, seq_len: int):
-    """(cos, sin) of positions 0 .. seq_len - 1 under RoPE, else None.
+    """The rotation factor cos + 1j * sin of positions 0 .. seq_len - 1
+    under RoPE, (seq_len, head_dim // 2); None under Alibi.
 
     A pass over several layers builds it once and hands it to each layer's
     ``attend``.
     """
     if not config.is_rope:
         return None
-    return rope_cos_sin(np.arange(seq_len), config.encoding)
+    cos, sin = rope_cos_sin(np.arange(seq_len), config.encoding)
+    return cos + 1j * sin
 
 
 @dataclass
@@ -195,10 +197,10 @@ class _Stash:
     qn: np.ndarray  # head-major queries, rotated to their positions under RoPE
     kn: np.ndarray  # head-major keys, rotated to their positions under RoPE
     vh: np.ndarray
-    rope: tuple | None = None  # (cos, sin) per position
+    rope: np.ndarray | None = None  # rotation factor per position
     qf: np.ndarray | None = None  # raw queries, scored against far keys
     kf: np.ndarray | None = None  # far keys R(-clamp) k of the pinned rows
-    rope_clamp: tuple | None = None  # (cos, sin) of the clamp
+    rope_clamp: np.ndarray | None = None  # rotation factor of the clamp
 
     def entropy(self) -> np.ndarray:
         """Row entropies (nats), shape (..., n_heads, seq_len)."""
@@ -222,7 +224,10 @@ class _Stash:
         G, W, clamp = self.window
         s, e, _, far = self.blocks[-1]
         g, _, js, dist, allowed = _block_keys(s, e, G, W)
-        far = (self.qf[..., -1:, :], self.kf[..., :g, :]) if far else None
+        far = (
+            (self.qf[..., -1:, :], self.kf[..., :g, :], dist[-1:, :g] > clamp)
+            if far else None
+        )
         q = self.qn[..., -1:, :]
         z = _logits(q, self.kn[..., js, :], dist[-1:], self.config, clamp, far)
         return z[..., 0, allowed[-1]]
@@ -243,12 +248,13 @@ def _forward(q, k, v, config, rope=None):
     stash = _Stash(config, (G, W, clamp), [], qn, kn, vh)
     if config.is_rope:
         if G and clamp is not None and seq_len - 1 > clamp:
-            stash.rope_clamp = cos_c, sin_c = rope_cos_sin(clamp, config.encoding)
+            cos_c, sin_c = rope_cos_sin(clamp, config.encoding)
+            stash.rope_clamp = cos_c + 1j * sin_c
             stash.qf = qn
-            stash.kf = apply_rotation_f64(kn[..., :G, :], cos_c, -sin_c)
+            stash.kf = apply_rotation_f64(kn[..., :G, :], np.conj(stash.rope_clamp))
         stash.rope = rope_table(config, seq_len) if rope is None else rope
-        stash.qn = qn = apply_rotation_f64(qn, *stash.rope)
-        stash.kn = kn = apply_rotation_f64(kn, *stash.rope)
+        stash.qn = qn = apply_rotation_f64(qn, stash.rope)
+        stash.kn = kn = apply_rotation_f64(kn, stash.rope)
 
     out = np.empty_like(qn)
     for s in range(0, seq_len, block):
@@ -257,7 +263,9 @@ def _forward(q, k, v, config, rope=None):
         far = stash.qf is not None and e - 1 > clamp
         _, w = _attend_block(
             qn[..., s:e, :], kn[..., js, :], vh[..., js, :], dist, ~allowed, config,
-            clamp, (stash.qf[..., s:e, :], stash.kf[..., :g, :]) if far else None,
+            clamp,
+            (stash.qf[..., s:e, :], stash.kf[..., :g, :], dist[:, :g] > clamp)
+            if far else None,
             out=out[..., s:e, :],
         )
         stash.blocks.append((s, e, w, far))
@@ -299,12 +307,12 @@ def _backward(stash: _Stash, d_out):
 
     dq, dk = dqn, dkn
     if config.is_rope:
-        cos, sin = stash.rope
-        dq = apply_rotation_f64(dqn, cos, -sin)
-        dk = apply_rotation_f64(dkn, cos, -sin)
+        inverse = np.conj(stash.rope)
+        dq = apply_rotation_f64(dqn, inverse)
+        dk = apply_rotation_f64(dkn, inverse)
         if stash.qf is not None:
             dq += dqf
-            dk[..., :G, :] += apply_rotation_f64(dkf, *stash.rope_clamp)
+            dk[..., :G, :] += apply_rotation_f64(dkf, stash.rope_clamp)
     return tuple(np.swapaxes(x, -3, -2) for x in (dq, dk, dv))
 
 

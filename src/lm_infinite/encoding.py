@@ -1,10 +1,14 @@
 """Rotary (RoPE) and Alibi relative positional encodings, plus the
 distance-limited logit ops used by the lambda attention path.
 
-Adjacent component pairs (x_{2a}, x_{2a+1}) form the rotation planes.
-Everything runs and returns in float64. The model rotates whole stacks
-through rope_cos_sin + apply_rotation_f64; rope_logit and alibi_logit are
-the one-pair reference logits the attention tests check the kernel against.
+Adjacent component pairs (x_{2a}, x_{2a+1}) form the rotation planes; a
+pair is read as the complex number x_{2a} + i x_{2a+1}. A RoPE table is one
+complex factor per position and pair, cos + i sin of rope_cos_sin's angles,
+built once per pass or decode chunk; apply_rotation_f64 multiplies by it,
+and its conjugate is the inverse rotation (also the transpose, for the
+backward). Everything else runs and returns in float64. rope_logit and
+alibi_logit are the one-pair reference logits the attention tests check
+the kernel against.
 """
 
 from __future__ import annotations
@@ -77,19 +81,20 @@ def rope_cos_sin(positions, params: RopeParams):
     return np.cos(angles), np.sin(angles)
 
 
-def apply_rotation_f64(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def apply_rotation_f64(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Rotate adjacent pairs of the trailing axis; float64 in, float64 out.
 
-    cos/sin must broadcast against x[..., ::2]. Pass -sin to invert, which
-    is also the transpose — handy for backpropagating through a rotation.
+    ``factor`` is the complex table cos + 1j * sin, which must broadcast
+    against x[..., ::2]. Pass np.conj(factor) to invert, which is also the
+    transpose — handy for backpropagating through a rotation.
 
     Each pair is read as the complex number x_{2a} + i x_{2a+1} and
-    multiplied by cos + i sin: one pass over x instead of one per strided
+    multiplied by its factor: one pass over x instead of one per strided
     half. ``x`` is copied to a contiguous array first when it is not one,
     and is never written.
     """
     pairs = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
-    return (pairs * (cos + 1j * sin)).view(np.float64)
+    return (pairs * factor).view(np.float64)
 
 
 def _check_vector(name: str, x: np.ndarray, head_dim: int):
@@ -116,7 +121,7 @@ def rope_logit(q, k, dist: int, params: RopeParams) -> float:
     if dist < 0:
         raise ValueError(f"dist must be >= 0, got {dist}")
     cos, sin = rope_cos_sin(dist, params)
-    rotated = apply_rotation_f64(q, cos, sin)
+    rotated = apply_rotation_f64(q, cos + 1j * sin)
     return float(np.sum(rotated * k, axis=-1) / math.sqrt(params.head_dim))
 
 

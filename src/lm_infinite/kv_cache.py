@@ -22,18 +22,25 @@ double when full.
 Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 ``values`` (slot-major views, (n_layers, len, n_heads, head_dim)) and
 ``positions`` are plain array views; the window part is in ring order. A
-chunk is ``begin(C)`` (slots, distances, mask and RoPE cos/sin for all
-layers), ``attend(layer, q, k, v)`` for each layer (store the chunk, then
-score its rows against every slot in use with ``attention._attend_block``),
-then ``advance()``. A failed chunk is redone from the same position; the
-entry its first write replaced, n_local positions older, is outside the
-window from then on.
+chunk is ``begin(C)`` (slot index, distances, mask, RoPE rotation factor
+and far-key mask, once for all layers), ``attend(layer, q, k, v)`` for each
+layer (store the chunk with one write per array, then score its rows
+against every slot in use with ``attention._attend_block``), then
+``advance()``.
+
+``attend`` does not check its inputs for NaN: the model checks a chunk's
+logits once and, if they hold a NaN, replays the chunk with a scan after
+each stage to name where it started. So a failed chunk can leave NaN keys
+and values in its slots in every layer, and NaN far keys in the rows of
+its pinned positions. The position does not move, and the next feed from
+that position overwrites them all; the entry the chunk's first write
+replaced, n_local positions older, is outside the window from then on.
 
 Under RoPE in lambda mode a far pinned key scores at the distance limit:
 <R(l_pretrain) q, k> = <q, R(-l_pretrain) k>. The cache stores that far key
 once, when its pinned token is stored, in row j < len(cache) of a (n_layers,
 n_heads, n_global, head_dim) array for pinned slot j, so a chunk costs one
-cos/sin table of its own positions and no other trig.
+rotation factor of its own positions and no other trig.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from lm_infinite import attention
-from lm_infinite.attention import AttentionConfig, _attend_block, _check_nan, _window
+from lm_infinite.attention import AttentionConfig, _attend_block, _window
 from lm_infinite.encoding import apply_rotation_f64, rope_cos_sin
 from lm_infinite.errors import CacheStateError
 
@@ -67,9 +74,10 @@ class KvCache:
         self._v = np.empty_like(self._k)
         self._pos = np.empty(capacity, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
-        self._far_cos_sin = None
+        self._to_far = None  # R(-clamp) as a rotation factor
         if config.is_rope and self._n_global:
-            self._far_cos_sin = rope_cos_sin(self._clamp, config.encoding)
+            cos, sin = rope_cos_sin(self._clamp, config.encoding)
+            self._to_far = np.conj(cos + 1j * sin)
             self._kf = np.full(
                 (n_layers, config.n_heads, self._n_global, config.head_dim), np.nan
             )
@@ -110,6 +118,13 @@ class KvCache:
         self._pos[first] = p
         self._pos[scratch:end] = np.arange(p + 1, p + n)
         self._chunk = (first, scratch, end)
+        # The chunk's slots in row order: one run, unless its first row went
+        # to a ring slot and the others to scratch.
+        if n == 1 or scratch == first + 1:
+            self._slots = slice(first, first + n)
+        else:
+            self._slots = np.arange(scratch - 1, end)
+            self._slots[0] = first
         rows = np.arange(p, p + n)
         # f64, so that each Alibi head scales it without an int cast.
         self._dist = np.subtract(rows[:, None], self._pos[:end], dtype=np.float64)
@@ -118,41 +133,42 @@ class KvCache:
             self._masked = self._dist < 0
             if W is not None:
                 self._masked |= (self._dist >= W) & (self._pos[:end] >= G)
-        self._cos_sin = None
+        self._rotation = self._far_rows = None
         if self.config.is_rope:
             cos, sin = rope_cos_sin(rows, self.config.encoding)
-            self._cos_sin = cos[:, None], sin[:, None]  # broadcast over heads
+            self._rotation = (cos + 1j * sin)[:, None]  # broadcast over heads
+            if self._to_far is not None and p + n - 1 > self._clamp:
+                self._far_rows = self._dist[:, : min(G, end)] > self._clamp
 
     def attend(self, layer: int, q, k, v) -> np.ndarray:
         """Layer ``layer``'s part of the chunk begun by begin(): store its
         keys (a RoPE key rotated to its own position) and values, then
         attend. q, k and v and the result hold C * n_heads * head_dim values
         each, the result flat; it matches the corresponding attend() rows to
-        numerical precision."""
+        numerical precision. The inputs are not checked for NaN: the model's
+        layer stack checks its output once per chunk."""
         if self._chunk is None:
             raise CacheStateError("attend() outside a step: call begin() first")
         first, scratch, end = self._chunk
         rows = (end - scratch + 1,) + self._entry
         q, k, v = (np.asarray(x, dtype=np.float64).reshape(rows) for x in (q, k, v))
         position = self.next_position
-        _check_nan(q, k, v, position)
         qn, kn = q, k
-        if self._cos_sin is not None:
-            qn = apply_rotation_f64(q, *self._cos_sin)
-            kn = apply_rotation_f64(k, *self._cos_sin)
+        if self._rotation is not None:
+            qn = apply_rotation_f64(q, self._rotation)
+            kn = apply_rotation_f64(k, self._rotation)
         keys, values = self._k[layer], self._v[layer]
-        keys[:, first], values[:, first] = kn[0], v[0]
-        keys[:, scratch:end] = kn[1:].swapaxes(0, 1)
-        values[:, scratch:end] = v[1:].swapaxes(0, 1)
+        keys[:, self._slots] = kn.swapaxes(0, 1)
+        values[:, self._slots] = v.swapaxes(0, 1)
         far = None
-        if self._far_cos_sin is not None:
+        if self._to_far is not None:
             pinned = min(self._n_global - position, len(k))  # chunk rows < n_global
             if pinned > 0:
-                cos, sin = self._far_cos_sin
-                kf = apply_rotation_f64(k[:pinned], cos, -sin)
+                kf = apply_rotation_f64(k[:pinned], self._to_far)
                 self._kf[layer, :, position : position + pinned] = kf.swapaxes(0, 1)
-            if position + len(k) - 1 > self._clamp:
-                far = (q.swapaxes(0, 1), self._kf[layer, :, : min(self._n_global, end)])
+            if self._far_rows is not None:
+                g = self._far_rows.shape[1]
+                far = (q.swapaxes(0, 1), self._kf[layer, :, :g], self._far_rows)
         out, _ = _attend_block(
             qn.swapaxes(0, 1), keys[:, :end], values[:, :end], self._dist,
             self._masked, self.config, self._clamp, far,
@@ -166,11 +182,15 @@ class KvCache:
         G, W = self._n_global, self._n_local
         n = end - scratch + 1
         if W is not None and end > G + W:
-            src = np.arange(max(scratch, G + W), end)[-W:]
+            # The last entries past the ring hold consecutive positions, so
+            # their ring slots are one run that wraps at most once.
+            src = max(scratch, G + W, end - W)
             dst = G + (self._pos[src] - G) % W
-            self._k[:, :, dst] = self._k[:, :, src]
-            self._v[:, :, dst] = self._v[:, :, src]
-            self._pos[dst] = self._pos[src]
+            split = min(end, src + G + W - dst)
+            for s, e, d in ((src, split, dst), (split, end, G)):
+                self._k[:, :, d : d + e - s] = self._k[:, :, s:e]
+                self._v[:, :, d : d + e - s] = self._v[:, :, s:e]
+                self._pos[d : d + e - s] = self._pos[s:e]
             end = G + W
         self._len = max(self._len, end)
         self.next_position += n

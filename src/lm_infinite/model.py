@@ -29,7 +29,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from lm_infinite.attention import AttentionConfig, attend, attend_backward, rope_table
+from lm_infinite.attention import (
+    AttentionConfig,
+    _check_nan,
+    attend,
+    attend_backward,
+    rope_table,
+)
 from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import (
@@ -221,10 +227,18 @@ def _check_ids(ids, vocab_size):
     return ids
 
 
+def _nan_row(x):
+    """Index of the first row of ``x`` that holds a NaN, or None."""
+    bad = np.isnan(x)
+    if not bad.any():
+        return None
+    return np.argwhere(np.atleast_1d(bad.any(axis=-1)))[0][-1]
+
+
 def _check_no_nan(x, after, layer, position):
     """Raise naming the first NaN row of ``x`` (rows start at ``position``)."""
-    if np.isnan(x).any():
-        row = np.argwhere(np.atleast_1d(np.isnan(x).any(axis=-1)))[0][-1]
+    row = _nan_row(x)
+    if row is not None:
         raise NanDetectedError(
             f"NaN after {after} in layer {layer}, position {position + row}"
         )
@@ -251,7 +265,25 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
     per layer, then (hf, lnf) of the final norm. ``hidden``, if a list,
     receives the residual stream after each block. ``position`` is the
     absolute position of the first row, used in NaN messages.
+
+    The pass scans for NaN once, in its logits. If they hold one, or if
+    ``attn`` raised NanDetectedError, the pass is replayed with a scan of
+    each layer's attention inputs, of its output after attention and after
+    the MLP, and of the logits, in that order. The replay is deterministic,
+    so it raises, naming the first stage and row that went NaN; it calls
+    ``attn`` again for every layer it reaches.
     """
+    try:
+        logits = _layers(model, ids, attn, stash, hidden)
+        if not np.isnan(logits).any():
+            return logits
+    except NanDetectedError:
+        pass
+    return _layers(model, ids, attn, position=position, scan=True)
+
+
+def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False):
+    """The pass of ``_forward``; with ``scan``, raise at the first NaN stage."""
     cfg = model.config
     p = model.params
     x = p["embedding"][ids]  # (..., d_model)
@@ -263,16 +295,20 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
         k = (h @ p[f"{pre}/attn/wk"]).reshape(heads_shape)
         v = (h @ p[f"{pre}/attn/wv"]).reshape(heads_shape)
         try:
+            if scan:  # a decode step's (n_heads, head_dim) inputs get a row axis
+                _check_nan(*(t[None] if t.ndim == 2 else t for t in (q, k, v)), position)
             a = attn(i, q, k, v).reshape(x.shape)
         except NanDetectedError as exc:
             raise NanDetectedError(f"layer {i}: {exc}") from None
         x = x + a @ p[f"{pre}/attn/wo"]
-        _check_no_nan(x, "attention", i, position)
+        if scan:
+            _check_no_nan(x, "attention", i, position)
         h2, ln2 = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
         u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"]
         g, cdf = _gelu(u)
         x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"])
-        _check_no_nan(x, "MLP", i, position)
+        if scan:
+            _check_no_nan(x, "MLP", i, position)
         if stash is not None:
             stash.append(dict(h=h, ln1=ln1, a=a, ln2=ln2, h2=h2, u=u, g=g, cdf=cdf))
         if hidden is not None:
@@ -281,7 +317,10 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
     hf, lnf = _layer_norm(x, p["ln_f/gamma"], p["ln_f/beta"])
     if stash is not None:
         stash.append((hf, lnf))
-    return hf @ p["head"]
+    logits = hf @ p["head"]
+    if scan and (row := _nan_row(logits)) is not None:
+        raise NanDetectedError(f"NaN in logits at position {position + row}")
+    return logits
 
 
 def forward(model: ToyModel, tokens, mode: str = "lambda") -> np.ndarray:

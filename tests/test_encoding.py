@@ -18,9 +18,15 @@ from lm_infinite.encoding import (
 from lm_infinite.masking import MaskParams, effective_distance
 
 
+def factor(positions, params):
+    """The complex rotation table cos + i sin of the given positions."""
+    cos, sin = rope_cos_sin(positions, params)
+    return cos + 1j * sin
+
+
 def rotate(x, position, params):
     """Rotate x to an absolute position, as the model does."""
-    return apply_rotation_f64(np.asarray(x, dtype=np.float64), *rope_cos_sin(position, params))
+    return apply_rotation_f64(np.asarray(x, dtype=np.float64), factor(position, params))
 
 
 def full_logit_oracle(q, k, i, j, params):
@@ -149,9 +155,31 @@ def test_rotation_inverse_via_negated_sin():
     params = RopeParams(head_dim=16)
     rng = np.random.default_rng(207)
     x = rng.normal(size=(3, 16))
-    cos, sin = rope_cos_sin(123, params)
-    back = apply_rotation_f64(apply_rotation_f64(x, cos, sin), cos, -sin)
+    f = factor(123, params)
+    back = apply_rotation_f64(apply_rotation_f64(x, f), np.conj(f))
     assert np.allclose(back, x, atol=1e-12)
+
+
+def cos_sin_rotation(x, cos, sin):
+    """The rotation as it was written against a (cos, sin) table."""
+    pairs = np.ascontiguousarray(x, dtype=np.float64).view(np.complex128)
+    return (pairs * (cos + 1j * sin)).view(np.float64)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rotation_factor_equals_cos_sin_formula_bitwise(sign):
+    # A factor built once rotates exactly as cos + 1j * sin built per call,
+    # its conjugate exactly as -sin did; and the conjugate undoes it.
+    params = RopeParams(head_dim=16)
+    rng = np.random.default_rng(419)
+    x = rng.normal(size=(3, 40, 16))
+    positions = np.append(np.arange(39), 4096)  # 0 has sin exactly 0
+    cos, sin = rope_cos_sin(positions, params)
+    f = factor(positions, params)
+    f = f if sign > 0 else np.conj(f)
+    got = apply_rotation_f64(x, f)
+    assert got.tobytes() == cos_sin_rotation(x, cos, sign * sin).tobytes()
+    np.testing.assert_allclose(apply_rotation_f64(got, np.conj(f)), x, atol=1e-12, rtol=0)
 
 
 def pair_formula(x, cos, sin):
@@ -177,7 +205,7 @@ def test_complex_rotation_equals_pair_formula(layout, sign):
         x = np.swapaxes(base.reshape(2, 12, 3, 16), -3, -2)  # (..., H, seq, hd) view
     cos, sin = rope_cos_sin(np.arange(x.shape[-2]), params)  # broadcast over (2, 3)
     before = x.copy()
-    got = apply_rotation_f64(x, cos, sign * sin)
+    got = apply_rotation_f64(x, cos + 1j * (sign * sin))
     assert got.shape == x.shape and got.dtype == np.float64
     np.testing.assert_allclose(got, pair_formula(x, cos, sign * sin), rtol=0, atol=1e-15)
     assert np.array_equal(x, before)

@@ -15,6 +15,7 @@ from lm_infinite.errors import (
     NanDetectedError,
     TrainingDivergedError,
 )
+from lm_infinite.evaluation import nll_curve
 from lm_infinite.model import (
     DecodeSession,
     ToyModel,
@@ -583,8 +584,11 @@ def test_step_failing_past_layer0_keeps_session_usable(mode, position):
 
 
 def test_step_failing_in_layer0_input_check_keeps_session_usable():
-    # A NaN embedding row fails layer 0's input check before any store: the
-    # session goes on as if the token had never been fed.
+    # A NaN embedding row fails layer 0's input check, found when the step
+    # is replayed after its NaN logits. By then every layer has stored the
+    # token's (NaN) keys and values; the position does not move, so the next
+    # step overwrites those slots, and the session goes on as if the token
+    # had never been fed.
     model = init(tiny_config())
     model.params["embedding"][7] = np.nan
     sess = DecodeSession(model, "lambda")
@@ -596,6 +600,140 @@ def test_step_failing_in_layer0_input_check_keeps_session_usable():
     fresh.step(1)
     for t in (2, 3):
         np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+
+
+# A NaN that shows first at one stage of one layer, in the row of the token
+# _LIVE and no earlier row. Every other token of these tests is _ZERO, whose
+# embedding is zero: with zero biases its rows stay exactly zero through
+# every layer, and zero times a huge finite weight is still zero. The
+# poisons push the _LIVE row's values past the float range instead.
+_ZERO, _LIVE = 0, 7
+
+
+def _poison(params, layer, stage):
+    pre = f"layer{layer}"
+    if stage == "qkv" and layer == 0:  # layer 0's norm: inf - inf
+        params["embedding"][_LIVE, 0] = np.inf
+    elif stage in ("qkv", "logits"):
+        # The MLP before the next layer norm adds +inf (gelu >= -0.17, so no
+        # term is -inf), which no stage scan sees as NaN.
+        pre = f"layer{layer - 1}" if stage == "qkv" else pre
+        params[f"{pre}/ln2/gamma"] *= 1e3
+        params[f"{pre}/mlp/w2"][:] = 1e308
+    elif stage == "attention":  # k = q of ~1e198: the row's own logit is +inf
+        params[f"{pre}/attn/wq"] *= 1e200
+        params[f"{pre}/attn/wk"][:] = params[f"{pre}/attn/wq"]
+    else:  # "mlp": the first MLP product is +-inf or NaN, and gelu's output NaN
+        params[f"{pre}/ln2/gamma"] *= 1e3
+        params[f"{pre}/mlp/w1"][:] = 1e308
+
+
+_POISON_MESSAGES = {
+    (0, "qkv"): "layer 0: NaN in attention input q at row {r}",
+    (1, "qkv"): "layer 1: NaN in attention input q at row {r}",
+    (0, "attention"): "NaN after attention in layer 0, position {r}",
+    (1, "attention"): "NaN after attention in layer 1, position {r}",
+    (0, "mlp"): "NaN after MLP in layer 0, position {r}",
+    (1, "mlp"): "NaN after MLP in layer 1, position {r}",
+    # Only the last layer's inf reaches the final norm alone; layer 0's is
+    # the (1, "qkv") case.
+    (1, "logits"): "NaN in logits at position {r}",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poisons overflow
+@pytest.mark.parametrize("entry", ["step", "prefill"])
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+@pytest.mark.parametrize("layer, stage", sorted(_POISON_MESSAGES))
+def test_nan_replay_names_stage_as_forward_does(monkeypatch, entry, mode, layer, stage):
+    # The fed chunk's one pass finds NaN logits, and its replay names the
+    # stage the full forward names. A step runs at position 20 (past the
+    # clamp; the lambda ring has wrapped, the vanilla cache has grown); a
+    # prefill of chunks of 8 fails in its second chunk, at row 10. The
+    # position stays at the failing chunk, and once the weights are mended
+    # the session matches a fresh one bit for bit.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = init(tiny_config())
+    model.params["embedding"][_ZERO] = 0.0
+    r, start = (20, 20) if entry == "step" else (10, 8)
+    ids = np.full(r + 1 if entry == "step" else 16, _ZERO)
+    ids[r] = _LIVE
+    clean = model.copy()
+    _poison(model.params, layer, stage)
+    message = _POISON_MESSAGES[layer, stage].format(r=r)
+    with pytest.raises(NanDetectedError) as full:
+        forward(model, ids, mode=mode)
+    assert str(full.value) == message
+
+    sess, fresh = DecodeSession(model, mode), DecodeSession(clean, mode)
+    with pytest.raises(NanDetectedError) as fed:
+        if entry == "step":
+            for t in ids:
+                sess.step(t)
+        else:
+            sess.prefill(ids)
+    assert str(fed.value) == message
+    assert sess.position == start
+    if entry == "step":
+        for t in ids[:start]:
+            fresh.step(t)
+    else:
+        fresh.prefill(ids[:start])
+    model.params.update(clean.copy().params)
+    for t in (5, _LIVE, 3):
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+    tail = (np.arange(25) * 5 + 3) % 31
+    np.testing.assert_array_equal(sess.prefill(tail), fresh.prefill(tail))
+    np.testing.assert_array_equal(sess.step(2), fresh.step(2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the final norm
+def test_nan_only_in_logits_raises_everywhere(tiny_corpus):
+    # An inf bias in the last MLP passes every stage scan: the final layer
+    # norm turns it into NaN. Each entry point raises instead of returning
+    # NaN logits, argmax tokens or a NaN NLL.
+    model = init(tiny_config())
+    model.params["layer1/mlp/b2"][0] = np.inf
+    ids = np.arange(12) % 31
+    message = "NaN in logits at position 0"
+    for call in (
+        lambda: forward(model, ids),
+        lambda: forward(model, ids, mode="vanilla_causal"),
+        lambda: forward_traced(model, ids),
+        lambda: loss_and_grads(model, ids),
+        lambda: DecodeSession(model).prefill(ids),
+        lambda: DecodeSession(model, "vanilla_causal").step(3),
+        lambda: generate(model, ids, 4),
+        lambda: nll_curve(model, [ids, ids], (8,)),
+    ):
+        with pytest.raises(NanDetectedError) as exc:
+            call()
+        assert str(exc.value) == message
+    with pytest.raises(TrainingDivergedError) as exc:
+        train(model, tiny_corpus, steps=2, batch_shape=(2, 16))
+    assert str(exc.value) == f"diverged at step 0: {message}"
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_nan_after_attention_is_named_before_next_layer_input(mode):
+    # Without scans, the NaN that layer 0's out-projection makes reaches
+    # layer 1's inputs, where the kernel's ``attend`` checks them. The
+    # replay names the stage where it first appeared, in every pass.
+    model = init(tiny_config())
+    model.params["layer0/attn/wo"][:] = np.nan
+    ids = np.arange(6) % 31
+    message = "NaN after attention in layer 0, position 0"
+    for call in (
+        lambda: forward(model, ids, mode=mode),
+        lambda: forward_traced(model, ids, mode=mode),
+        lambda: loss_and_grads(model, np.stack([ids, ids]), mode=mode),
+        lambda: DecodeSession(model, mode).prefill(ids),
+    ):
+        with pytest.raises(NanDetectedError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n_layers", [1, 4])
@@ -627,9 +765,9 @@ def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
     rotate = kv_cache.apply_rotation_f64
     rows = []
 
-    def counting(x, cos, sin):
+    def counting(x, factor):
         rows.append(np.size(x) // np.shape(x)[-1])
-        return rotate(x, cos, sin)
+        return rotate(x, factor)
 
     counts = {}
     for n_global in (0, 4, 16):
