@@ -24,16 +24,18 @@ session = DecodeSession(model, "lambda")
 full = forward(model, stream, mode="lambda")
 
 worst = 0.0
+peak = 0
 for t, token in enumerate(stream):
     logits = session.step(int(token))
     worst = max(worst, float(np.abs(logits - full[t]).max()))
+    peak = max(peak, len(session.cache))
     if t in (15, 19, 50, 199):
-        print(f"step {t + 1:3d}: cache holds {session.peak_cache_entries():2d} "
+        print(f"step {t + 1:3d}: cache holds {len(session.cache):2d} "
               f"entries (cap {config.n_global + config.n_local}), "
               f"max |streamed - full| so far = {worst:.2e}")
 
 print(f"\n200 steps done. The cache never grew past "
-      f"{session.peak_cache_entries()} entries, and the streamed logits")
+      f"{peak} entries, and the streamed logits")
 print(f"match the full-sequence forward pass to {worst:.2e}.")
 
 # --- contrast: a vanilla session keeps everything ---------------------------
@@ -41,4 +43,4 @@ vanilla = DecodeSession(model, "vanilla_causal")
 for token in stream:
     vanilla.step(int(token))
 print(f"\nA vanilla session after the same stream holds "
-      f"{vanilla.peak_cache_entries()} entries — one per token seen.")
+      f"{len(vanilla.cache)} entries — one per token seen.")

@@ -4,10 +4,11 @@
 Three views of the same trained model probed at 8x its training length,
 all read off one diagnostics pass per mode: attention-logit magnitudes
 bucketed by key distance, attention entropy as the context grows, and a
-PCA projection of the hidden states. At this miniature scale the logit
-drift beyond the trained range is visible on some heads and mild on
-others; the entropy climb is unmistakable — and both stay flat in lambda
-mode. Reports land in demo_out/ as CSV.
+PCA projection of the hidden states, with the gap between its first and
+last 8 positions in pooled standard deviations. At this miniature scale
+the logit drift beyond the trained range is visible on some heads and mild
+on others; the entropy climb is unmistakable — and both stay flat in
+lambda mode. Reports land in demo_out/ as CSV.
 """
 
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from lm_infinite.corpus import SyntheticLanguage
 from lm_infinite.diagnostics import (
+    position_separation,
     run_diagnostics,
     write_entropy_csv,
     write_logits_csv,
@@ -65,6 +67,8 @@ tail = proj.coords[-8:, 0]
 print("\nhidden-state PCA, first component (layer 1, vanilla):")
 print("    first 8 positions:", " ".join(f"{x:6.2f}" for x in head))
 print("    last  8 positions:", " ".join(f"{x:6.2f}" for x in tail))
+diff, pooled = position_separation(proj, group=8)
+print(f"    first-8 vs last-8 mean gap: {diff:.2f} ({diff / pooled:.2f} pooled std)")
 print(f"    explained variance: {proj.explained_variance[0]:.2f} / "
       f"{proj.explained_variance[1]:.2f}")
 

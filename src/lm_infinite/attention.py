@@ -1,41 +1,40 @@
 """Multi-head scaled-dot-product attention over the lambda mask.
 
-One blocked kernel serves both modes. Queries go in blocks of rows, and
-block [s, e) scores two disjoint key sets:
+LM-Infinite is two rules: the Λ mask, under which query i sees the pinned
+keys j < G and the window 0 <= i - j < W, and the distance limit, under
+which a distance past l_pretrain counts as l_pretrain. ``_geometry`` is the
+one place they are worked out: from a chunk's query and key positions it
+gives the clamped distances, the mask and, under RoPE, the pinned keys past
+the limit. The blocked kernel here calls it once per block and ``KvCache``
+once per chunk. ``vanilla_causal`` is G = 0, an unbounded window and no
+limit.
 
-* the pinned keys [0, min(G, e)), masked to j <= i;
-* the window band [max(G, s - W + 1), e), masked to 0 <= i - j < W.
+The kernel scores query block [s, e) against the pinned keys [0, min(G, e))
+and the window band [max(G, s - W + 1), e). Lambda blocks hold ``BLOCK``
+rows, so its work and memory are O(n). Vanilla is one block of seq_len rows:
+dense causal attention at raw distances, the quadratic baseline (and the
+thing that breaks past the training length). Acceptance criterion 7 pins
+this baseline's cost, at least 8x the encode time for 4x the length; a
+blocked vanilla does about half the work and falls short of that at the
+criterion's probe lengths.
 
-``lambda`` mode takes G = n_global and W = n_local, clamps distances at
-l_pretrain and runs blocks of ``BLOCK`` rows, so its work and memory are
-O(n). ``vanilla_causal`` is the same kernel with G = 0, W = seq_len, no
-clamp and a single block of seq_len rows: dense causal attention at raw
-distances, the quadratic baseline (and the thing that breaks past the
-training length). Acceptance criterion 7 pins this baseline's cost, at
-least 8x the encode time for 4x the length; a blocked vanilla does about
-half the work and falls short of that at the criterion's probe lengths.
+MaskParams enforces n_local <= l_pretrain, so only pinned keys can be far.
+Under RoPE every key scores <R(i) q_i, R(j) k_j> = <R(i-j) q_i, k_j> except
+a far pinned key, which scores <R(l_pretrain) q_i, k_j> = <q_i,
+R(-l_pretrain) k_j>: the far key is formed once per pinned key and dotted
+with the raw query. Alibi subtracts slope * the clamped distance.
 
-MaskParams enforces n_local <= l_pretrain, so window distances never reach
-the clamp; only pinned keys can be far. Under RoPE every key scores
-<R(i) q_i, R(j) k_j> = <R(i-j) q_i, k_j> except a far pinned key, which
-scores at effective distance l_pretrain:
-<R(l_pretrain) q_i, k_j> = <q_i, R(-l_pretrain) k_j>. The far key
-R(-l_pretrain) k_j is formed once per pinned key and dotted with the raw
-query, so no query is ever rotated to the clamp. Alibi subtracts
-slope * min(i - j, l_pretrain).
-
-``_attend_block`` is the block body: logits with the far-key swap, the
-mask, the softmax and the weighted values. The kernel calls it once per
-block; ``KvCache.attend`` calls it once per prefill chunk or decode step,
-over the cache's keys. ``attend`` returns the values and a stash of each
-block's weights; ``attend_backward`` walks the same blocks, and diagnostics
-read row entropies, single rows and the last row's logits off the same
-stash. Leading batch axes broadcast. Everything runs in float64.
+``_attend_block`` is the block body of the kernel and the cache: logits with
+the far-key swap, the mask, the softmax and the weighted values. ``attend``
+returns the values and a stash of each block's geometry and weights, which
+``attend_backward`` and the diagnostics readers (entropy(), row(i),
+last_logits) read. Leading batch axes broadcast. Everything runs in float64.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,78 +101,97 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
     return -(w * logs).sum(axis=-1)
 
 
+def _bad_row(x, axes=-1):
+    """Index (leading axes..., row) of the first row of ``x`` that holds a
+    NaN or +-inf, a row being the trailing ``axes``; None if all is finite."""
+    ok = np.isfinite(x)
+    if ok.all():
+        return None
+    return np.argwhere(~np.atleast_1d(ok.all(axis=axes)))[0]
+
+
 def _check_nan(q, k, v, first_row=0):
-    """Raise naming the first NaN row; rows are numbered from ``first_row``."""
+    """Raise naming the first non-finite row; rows count from ``first_row``."""
     for name, arr in (("q", q), ("k", k), ("v", v)):
-        bad = np.isnan(arr)
-        if bad.any():
-            rows = bad.any(axis=(-1, -2))
-            where = np.argwhere(rows)[0]
+        if (where := _bad_row(arr, (-1, -2))) is not None:
+            at = f"batch {where[0]}, row" if where.size > 1 else "row"
             row = first_row + where[-1]
-            if where.size == 1:
-                raise NanDetectedError(f"NaN in attention input {name} at row {row}")
-            raise NanDetectedError(
-                f"NaN in attention input {name} at batch {where[0]}, row {row}"
-            )
+            raise NanDetectedError(f"NaN in attention input {name} at {at} {row}")
 
 
-def _window(config: AttentionConfig, seq_len: int | None):
-    """(G, W, clamp) of the kernel: the mask branches, or a causal vanilla."""
+def _window(config: AttentionConfig):
+    """(G, W, clamp): the mask's pinned prefix, window and distance limit;
+    (0, None, None) for vanilla, an unbounded causal window."""
     if config.mode == "lambda":
         mp = config.mask_params
         return mp.n_global, mp.n_local, mp.l_pretrain
-    return 0, seq_len, None
+    return 0, None, None
 
 
-def _logits(qn, kn, dist, config, clamp, far=None):
-    """Scaled logits (..., H, rows, keys) at query-key distances ``dist``.
+def _geometry(rows, keys, config):
+    """(dist, masked, far) of query positions ``rows`` against key
+    positions ``keys``, pinned keys (positions < G) first: the float64
+    distances, clamped at l_pretrain in lambda mode; the entries outside the
+    Λ, or None for one row, which sees every key it is given; and under RoPE
+    the mask of the leading pinned columns past the limit, or None."""
+    G, W, clamp = _window(config)
+    dist = np.subtract(rows[:, None], keys, dtype=np.float64)
+    masked = far = None
+    if len(rows) > 1:
+        masked = dist < 0
+        if W is not None:
+            masked |= (dist >= W) & (keys >= G)
+    if clamp is not None:
+        if config.is_rope and G and rows[-1] > clamp:
+            far = dist[:, : min(G, len(keys))] > clamp
+        np.minimum(dist, clamp, out=dist)
+    return dist, masked, far
+
+
+def _far_factor(config: AttentionConfig) -> np.ndarray:
+    """R(-l_pretrain) as a rotation factor: it turns a pinned key into its
+    far key."""
+    cos, sin = rope_cos_sin(config.mask_params.l_pretrain, config.encoding)
+    return np.conj(cos + 1j * sin)
+
+
+def _logits(qn, kn, dist, config, far=None):
+    """Scaled logits (..., H, rows, keys) at ``_geometry``'s distances.
 
     ``qn``/``kn`` are head-major (..., H, n, head_dim), rotated to their own
     positions under RoPE and raw under Alibi. ``far`` = (qf, kf, is_far)
-    holds the raw queries, the far keys R(-clamp) k of the g leading pinned
-    columns and the (rows, g) mask of dist > clamp; under RoPE those columns
-    take <qf, kf> where the mask is set.
+    holds the raw queries, the pinned rows' far keys and ``_geometry``'s
+    far mask, whose columns take <qf, kf>.
     """
     scale = 1.0 / math.sqrt(config.head_dim)
     z = qn @ np.swapaxes(kn, -1, -2)
     z *= scale
     if not config.is_rope:
         # Per head, so that no (H, rows, keys) temporary sits next to z.
-        d = dist if clamp is None else np.minimum(dist, clamp)
         for h, slope in enumerate(config.encoding.slopes):
-            z[..., h, :, :] -= slope * d
+            z[..., h, :, :] -= slope * dist
         return z
     if far is not None:
         qf, kf, is_far = far
+        kf = kf[..., : is_far.shape[-1], :]
         zf = (qf @ np.swapaxes(kf, -1, -2)) * scale
         np.copyto(z[..., : kf.shape[-2]], zf, where=is_far)
     return z
 
 
-def _attend_block(qn, kn, vn, dist, masked, config, clamp, far=None, out=None):
+def _attend_block(qn, kn, vn, dist, masked, config, far=None, out=None):
     """One block of attention, the body shared by the kernel and the cache.
 
-    Scores the query rows ``qn`` against the keys ``kn`` (both head-major,
-    as for ``_logits``) at distances ``dist`` (rows, keys), sets the
-    ``masked`` entries (None: none) to -inf, takes the row softmax and
-    weighs the values ``vn``. Returns (values, weights); the values are
-    written to ``out`` if it is given.
+    Scores the query rows ``qn`` against the keys ``kn`` as ``_logits``
+    does, sets the ``masked`` entries (None: none) to -inf, takes the row
+    softmax and weighs the values ``vn``. Returns (values, weights); the
+    values are written to ``out`` if it is given.
     """
-    z = _logits(qn, kn, dist, config, clamp, far)
+    z = _logits(qn, kn, dist, config, far)
     if masked is not None:
         np.copyto(z, -np.inf, where=masked)
     w = _softmax(z)
     return np.matmul(w, vn, out=out), w
-
-
-def _block_keys(s, e, G, W):
-    """Key columns of query block [s, e): pinned [0, g) then band [lo, e)."""
-    g = min(G, e)
-    lo = min(max(G, s - W + 1), e)
-    js = np.concatenate([np.arange(g), np.arange(lo, e)])
-    dist = np.arange(s, e)[:, None] - js
-    allowed = (dist >= 0) & ((dist < W) | (js < G))
-    return g, lo, js, dist, allowed
 
 
 def rope_table(config: AttentionConfig, seq_len: int):
@@ -189,48 +207,48 @@ def rope_table(config: AttentionConfig, seq_len: int):
     return cos + 1j * sin
 
 
+# Query rows [s, e) against keys js, pinned [0, g) then band [lo, e): the
+# weights w (..., n_heads, rows, keys) and _geometry's dist, masked and far.
+_Block = namedtuple("_Block", "s e g lo js w dist masked far")
+
+
+def _seen(b: _Block, r: int):
+    """The key columns that row r of block b attends to."""
+    return slice(None) if b.masked is None else ~b.masked[r]
+
+
 @dataclass
 class _Stash:
     config: AttentionConfig
-    window: tuple  # (G, W, clamp)
-    blocks: list  # per block: (s, e, weights, far)
+    blocks: list  # of _Block
     qn: np.ndarray  # head-major queries, rotated to their positions under RoPE
     kn: np.ndarray  # head-major keys, rotated to their positions under RoPE
     vh: np.ndarray
     rope: np.ndarray | None = None  # rotation factor per position
     qf: np.ndarray | None = None  # raw queries, scored against far keys
-    kf: np.ndarray | None = None  # far keys R(-clamp) k of the pinned rows
-    rope_clamp: np.ndarray | None = None  # rotation factor of the clamp
+    kf: np.ndarray | None = None  # far keys of the pinned rows
 
     def entropy(self) -> np.ndarray:
         """Row entropies (nats), shape (..., n_heads, seq_len)."""
-        return np.concatenate([_entropy_rows(w) for _, _, w, _ in self.blocks], -1)
+        return np.concatenate([_entropy_rows(b.w) for b in self.blocks], -1)
 
     def row(self, i: int):
         """Query row i's attended keys: (key indices (n,), weights
-        (..., n_heads, n), distances (n,)), distances clamped in lambda mode."""
-        G, W, clamp = self.window
+        (..., n_heads, n), float64 distances (n,), clamped in lambda mode)."""
         i = range(self.qn.shape[-2])[i]
-        s, e, w, _ = next(b for b in self.blocks if b[0] <= i < b[1])
-        _, _, js, dist, allowed = _block_keys(s, e, G, W)
-        cols = allowed[i - s]
-        d = dist[i - s, cols]
-        return js[cols], w[..., i - s, cols], d if clamp is None else np.minimum(d, clamp)
+        b = next(b for b in self.blocks if b.s <= i < b.e)
+        cols = _seen(b, i - b.s)
+        return b.js[cols], b.w[..., i - b.s, cols], b.dist[i - b.s, cols]
 
     @property
     def last_logits(self) -> np.ndarray:
         """The last row's masked logits (..., n_heads, n), in row(-1)'s key
         order; recomputed for that one row, since the blocks keep weights."""
-        G, W, clamp = self.window
-        s, e, _, far = self.blocks[-1]
-        g, _, js, dist, allowed = _block_keys(s, e, G, W)
-        far = (
-            (self.qf[..., -1:, :], self.kf[..., :g, :], dist[-1:, :g] > clamp)
-            if far else None
-        )
+        b = self.blocks[-1]
+        far = None if b.far is None else (self.qf[..., -1:, :], self.kf, b.far[-1:])
         q = self.qn[..., -1:, :]
-        z = _logits(q, self.kn[..., js, :], dist[-1:], self.config, clamp, far)
-        return z[..., 0, allowed[-1]]
+        z = _logits(q, self.kn[..., b.js, :], b.dist[-1:], self.config, far)
+        return z[..., 0, _seen(b, -1)]
 
 
 def _forward(q, k, v, config, rope=None):
@@ -240,53 +258,48 @@ def _forward(q, k, v, config, rope=None):
     Returns head-major values and the stash.
     """
     seq_len = q.shape[-3]
-    G, W, clamp = _window(config, seq_len)
+    G, W, _ = _window(config)
     block = BLOCK if config.mode == "lambda" else seq_len
     qn = np.ascontiguousarray(np.swapaxes(q, -3, -2))
     kn = np.ascontiguousarray(np.swapaxes(k, -3, -2))
     vh = np.ascontiguousarray(np.swapaxes(v, -3, -2))
-    stash = _Stash(config, (G, W, clamp), [], qn, kn, vh)
+    stash = _Stash(config, [], qn, kn, vh)
     if config.is_rope:
-        if G and clamp is not None and seq_len - 1 > clamp:
-            cos_c, sin_c = rope_cos_sin(clamp, config.encoding)
-            stash.rope_clamp = cos_c + 1j * sin_c
-            stash.qf = qn
-            stash.kf = apply_rotation_f64(kn[..., :G, :], np.conj(stash.rope_clamp))
         stash.rope = rope_table(config, seq_len) if rope is None else rope
-        stash.qn = qn = apply_rotation_f64(qn, stash.rope)
-        stash.kn = kn = apply_rotation_f64(kn, stash.rope)
+        stash.qn = apply_rotation_f64(qn, stash.rope)
+        stash.kn = apply_rotation_f64(kn, stash.rope)
 
     out = np.empty_like(qn)
     for s in range(0, seq_len, block):
         e = min(s + block, seq_len)
-        g, _, js, dist, allowed = _block_keys(s, e, G, W)
-        far = stash.qf is not None and e - 1 > clamp
+        g, lo = min(G, e), (G if W is None else min(max(G, s - W + 1), e))
+        js = np.concatenate([np.arange(g), np.arange(lo, e)])
+        dist, masked, far = _geometry(np.arange(s, e), js, config)
+        if far is not None and stash.kf is None:  # the first block past the limit
+            stash.qf = qn
+            stash.kf = apply_rotation_f64(kn[..., :G, :], _far_factor(config))
         _, w = _attend_block(
-            qn[..., s:e, :], kn[..., js, :], vh[..., js, :], dist, ~allowed, config,
-            clamp,
-            (stash.qf[..., s:e, :], stash.kf[..., :g, :], dist[:, :g] > clamp)
-            if far else None,
+            stash.qn[..., s:e, :], stash.kn[..., js, :], vh[..., js, :], dist, masked,
+            config, None if far is None else (qn[..., s:e, :], stash.kf, far),
             out=out[..., s:e, :],
         )
-        stash.blocks.append((s, e, w, far))
+        stash.blocks.append(_Block(s, e, g, lo, js, w, dist, masked, far))
     return out, stash
 
 
 def _backward(stash: _Stash, d_out):
     config = stash.config
     scale = 1.0 / math.sqrt(config.head_dim)
-    G, W, clamp = stash.window
     qn, kn, vh = stash.qn, stash.kn, stash.vh
     d_out = np.ascontiguousarray(np.swapaxes(d_out, -3, -2))
     dqn = np.empty_like(qn)
     dkn = np.zeros_like(kn)
     dv = np.zeros_like(vh)
-    if stash.qf is not None:
+    if stash.kf is not None:
         dqf = np.zeros_like(qn)
         dkf = np.zeros_like(stash.kf)
 
-    for s, e, w, far in stash.blocks:
-        g, lo, js, dist, _ = _block_keys(s, e, G, W)
+    for s, e, g, lo, js, w, _, _, far in stash.blocks:
         do = d_out[..., s:e, :]
         dvb = np.swapaxes(w, -1, -2) @ do
         dv[..., :g, :] += dvb[..., :g, :]
@@ -294,10 +307,9 @@ def _backward(stash: _Stash, d_out):
         dw = do @ np.swapaxes(vh[..., js, :], -1, -2)
         dw -= np.sum(dw * w, axis=-1, keepdims=True)
         dz = np.multiply(dw, w, out=dw)
-        if far:
-            is_far = dist[:, :g] > clamp
-            dzf = np.where(is_far, dz[..., :g], 0.0)
-            dz[..., :g] = np.where(is_far, 0.0, dz[..., :g])
+        if far is not None:
+            dzf = np.where(far, dz[..., :g], 0.0)
+            dz[..., :g] = np.where(far, 0.0, dz[..., :g])
             dqf[..., s:e, :] = (dzf @ stash.kf[..., :g, :]) * scale
             dkf[..., :g, :] += (np.swapaxes(dzf, -1, -2) @ stash.qf[..., s:e, :]) * scale
         dqn[..., s:e, :] = (dz @ kn[..., js, :]) * scale
@@ -310,9 +322,11 @@ def _backward(stash: _Stash, d_out):
         inverse = np.conj(stash.rope)
         dq = apply_rotation_f64(dqn, inverse)
         dk = apply_rotation_f64(dkn, inverse)
-        if stash.qf is not None:
+        if stash.kf is not None:
             dq += dqf
-            dk[..., :G, :] += apply_rotation_f64(dkf, stash.rope_clamp)
+            dk[..., : dkf.shape[-2], :] += apply_rotation_f64(
+                dkf, np.conj(_far_factor(config))
+            )
     return tuple(np.swapaxes(x, -3, -2) for x in (dq, dk, dv))
 
 

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 
 class NanDetectedError(RuntimeError):
-    """A NaN appeared in an attention input or a forward activation.
+    """A NaN or +-inf appeared in an attention input or a forward
+    activation.
 
     The message names the first offending row (and layer, when raised from
-    the model) so length-induced blowups can be localized.
+    the model) so length-induced blowups can be localized. It says "NaN"
+    for an infinity too.
     """
 
 

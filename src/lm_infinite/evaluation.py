@@ -335,7 +335,7 @@ def bench(model, seq_len: int, mode: str = "lambda", repeats: int = 5,
         seq_len=seq_len,
         encode_seconds=float(np.median(encode_times)),
         decode_seconds_per_token=float(np.median(decode_times)),
-        peak_cache_entries=session.peak_cache_entries(),
+        peak_cache_entries=len(session.cache),
         repeats=repeats,
     )
 

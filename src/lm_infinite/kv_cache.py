@@ -16,31 +16,31 @@ row still needs the n_local - 1 keys before it, so while a chunk is scored
 only its first position is in its ring slot; the other C - 1 sit in scratch
 slots after the ring and move to their ring slots when the chunk ends. The
 arrays hold n_global + n_local + max_chunk - 1 slots, allocated once. In
-vanilla mode position p goes to slot p, nothing is evicted and the arrays
-double when full.
+vanilla mode (no pinned prefix, an unbounded window) position p goes to
+slot p, nothing is evicted and the arrays double when full.
 
 Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 ``values`` (slot-major views, (n_layers, len, n_heads, head_dim)) and
 ``positions`` are plain array views; the window part is in ring order. A
-chunk is ``begin(C)`` (slot index, distances, mask, RoPE rotation factor
-and far-key mask, once for all layers), ``attend(layer, q, k, v)`` for each
-layer (store the chunk with one write per array, then score its rows
-against every slot in use with ``attention._attend_block``), then
+chunk is ``begin(C)``, which places it in slots, takes its distances, mask
+and far-key mask from ``attention._geometry`` over the positions of the
+slots in use and builds its RoPE rotation factor, once for all layers;
+then ``attend(layer, q, k, v)`` for each layer, which stores the chunk with
+one write per array and scores it with ``attention._attend_block``; then
 ``advance()``.
 
-``attend`` does not check its inputs for NaN: the model checks a chunk's
-logits once and, if they hold a NaN, replays the chunk with a scan after
-each stage to name where it started. So a failed chunk can leave NaN keys
-and values in its slots in every layer, and NaN far keys in the rows of
-its pinned positions. The position does not move, and the next feed from
-that position overwrites them all; the entry the chunk's first write
-replaced, n_local positions older, is outside the window from then on.
+``attend`` does not check its inputs: the model checks a chunk's logits
+once and, if they hold a NaN or an inf, replays the chunk with a scan after
+each stage to name where it started. So a failed chunk can leave non-finite
+keys and values in its slots in every layer, and in the far keys of its
+pinned positions. The position does not move, and the next feed from that
+position overwrites them all; the entry the chunk's first write replaced,
+n_local positions older, is outside the window from then on.
 
-Under RoPE in lambda mode a far pinned key scores at the distance limit:
-<R(l_pretrain) q, k> = <q, R(-l_pretrain) k>. The cache stores that far key
-once, when its pinned token is stored, in row j < len(cache) of a (n_layers,
-n_heads, n_global, head_dim) array for pinned slot j, so a chunk costs one
-rotation factor of its own positions and no other trig.
+Under RoPE a far pinned key scores <q, R(-l_pretrain) k> (see
+``attention``). The cache stores that far key once, when its pinned token
+is stored, in row j of a (n_layers, n_heads, n_global, head_dim) array, so
+a chunk costs one rotation factor of its own positions and no other trig.
 """
 
 from __future__ import annotations
@@ -48,7 +48,13 @@ from __future__ import annotations
 import numpy as np
 
 from lm_infinite import attention
-from lm_infinite.attention import AttentionConfig, _attend_block, _window
+from lm_infinite.attention import (
+    AttentionConfig,
+    _attend_block,
+    _far_factor,
+    _geometry,
+    _window,
+)
 from lm_infinite.encoding import apply_rotation_f64, rope_cos_sin
 from lm_infinite.errors import CacheStateError
 
@@ -63,24 +69,18 @@ class KvCache:
         self.next_position = 0
         self.max_chunk = attention.BLOCK  # the kernel's block size when built
         self._len = 0
-        # The kernel's window: vanilla has no pinned keys, bound or clamp.
-        self._n_global, self._n_local, self._clamp = _window(config, None)
-        if self._n_local is None:
-            capacity = _MIN_CAPACITY
-        else:
-            capacity = self._n_global + self._n_local + self.max_chunk - 1
+        G, W, _ = _window(config)
+        self._n_global, self._n_local = G, W
+        capacity = _MIN_CAPACITY if W is None else G + W + self.max_chunk - 1
         self._entry = (config.n_heads, config.head_dim)
         self._k = np.empty((n_layers, config.n_heads, capacity, config.head_dim))
         self._v = np.empty_like(self._k)
         self._pos = np.empty(capacity, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
-        self._to_far = None  # R(-clamp) as a rotation factor
-        if config.is_rope and self._n_global:
-            cos, sin = rope_cos_sin(self._clamp, config.encoding)
-            self._to_far = np.conj(cos + 1j * sin)
-            self._kf = np.full(
-                (n_layers, config.n_heads, self._n_global, config.head_dim), np.nan
-            )
+        self._to_far = None
+        if config.is_rope and G:
+            self._to_far = _far_factor(config)
+            self._kf = np.full((n_layers, config.n_heads, G, config.head_dim), np.nan)
 
     def __len__(self) -> int:
         return self._len
@@ -126,27 +126,19 @@ class KvCache:
             self._slots = np.arange(scratch - 1, end)
             self._slots[0] = first
         rows = np.arange(p, p + n)
-        # f64, so that each Alibi head scales it without an int cast.
-        self._dist = np.subtract(rows[:, None], self._pos[:end], dtype=np.float64)
-        self._masked = None  # a single row sees every slot in use
-        if n > 1:
-            self._masked = self._dist < 0
-            if W is not None:
-                self._masked |= (self._dist >= W) & (self._pos[:end] >= G)
-        self._rotation = self._far_rows = None
+        self._geometry = _geometry(rows, self._pos[:end], self.config)
+        self._rotation = None
         if self.config.is_rope:
             cos, sin = rope_cos_sin(rows, self.config.encoding)
             self._rotation = (cos + 1j * sin)[:, None]  # broadcast over heads
-            if self._to_far is not None and p + n - 1 > self._clamp:
-                self._far_rows = self._dist[:, : min(G, end)] > self._clamp
 
     def attend(self, layer: int, q, k, v) -> np.ndarray:
         """Layer ``layer``'s part of the chunk begun by begin(): store its
         keys (a RoPE key rotated to its own position) and values, then
         attend. q, k and v and the result hold C * n_heads * head_dim values
         each, the result flat; it matches the corresponding attend() rows to
-        numerical precision. The inputs are not checked for NaN: the model's
-        layer stack checks its output once per chunk."""
+        numerical precision. The inputs are not checked: the model's layer
+        stack checks its output once per chunk."""
         if self._chunk is None:
             raise CacheStateError("attend() outside a step: call begin() first")
         first, scratch, end = self._chunk
@@ -160,18 +152,15 @@ class KvCache:
         keys, values = self._k[layer], self._v[layer]
         keys[:, self._slots] = kn.swapaxes(0, 1)
         values[:, self._slots] = v.swapaxes(0, 1)
-        far = None
-        if self._to_far is not None:
-            pinned = min(self._n_global - position, len(k))  # chunk rows < n_global
-            if pinned > 0:
-                kf = apply_rotation_f64(k[:pinned], self._to_far)
-                self._kf[layer, :, position : position + pinned] = kf.swapaxes(0, 1)
-            if self._far_rows is not None:
-                g = self._far_rows.shape[1]
-                far = (q.swapaxes(0, 1), self._kf[layer, :, :g], self._far_rows)
+        pinned = min(self._n_global - position, len(k))  # chunk rows < n_global
+        if self._to_far is not None and pinned > 0:
+            kf = apply_rotation_f64(k[:pinned], self._to_far)
+            self._kf[layer, :, position : position + pinned] = kf.swapaxes(0, 1)
+        dist, masked, is_far = self._geometry
+        far = None if is_far is None else (q.swapaxes(0, 1), self._kf[layer], is_far)
         out, _ = _attend_block(
-            qn.swapaxes(0, 1), keys[:, :end], values[:, :end], self._dist,
-            self._masked, self.config, self._clamp, far,
+            qn.swapaxes(0, 1), keys[:, :end], values[:, :end], dist, masked,
+            self.config, far,
         )
         return out.swapaxes(0, 1).reshape(-1)
 

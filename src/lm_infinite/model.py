@@ -31,6 +31,7 @@ from scipy.special import erf
 
 from lm_infinite.attention import (
     AttentionConfig,
+    _bad_row,
     _check_nan,
     attend,
     attend_backward,
@@ -227,21 +228,11 @@ def _check_ids(ids, vocab_size):
     return ids
 
 
-def _nan_row(x):
-    """Index of the first row of ``x`` that holds a NaN, or None."""
-    bad = np.isnan(x)
-    if not bad.any():
-        return None
-    return np.argwhere(np.atleast_1d(bad.any(axis=-1)))[0][-1]
-
-
-def _check_no_nan(x, after, layer, position):
-    """Raise naming the first NaN row of ``x`` (rows start at ``position``)."""
-    row = _nan_row(x)
-    if row is not None:
-        raise NanDetectedError(
-            f"NaN after {after} in layer {layer}, position {position + row}"
-        )
+def _check_finite(x, message, position):
+    """Raise ``message`` and the position of the first non-finite row of
+    ``x``, whose rows start at ``position``."""
+    if (row := _bad_row(x)) is not None:
+        raise NanDetectedError(f"{message} {position + row[-1]}")
 
 
 @dataclass
@@ -266,16 +257,16 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
     receives the residual stream after each block. ``position`` is the
     absolute position of the first row, used in NaN messages.
 
-    The pass scans for NaN once, in its logits. If they hold one, or if
-    ``attn`` raised NanDetectedError, the pass is replayed with a scan of
+    The pass scans its logits once for a NaN or +-inf. If they hold one, or
+    if ``attn`` raised NanDetectedError, the pass is replayed with a scan of
     each layer's attention inputs, of its output after attention and after
     the MLP, and of the logits, in that order. The replay is deterministic,
-    so it raises, naming the first stage and row that went NaN; it calls
-    ``attn`` again for every layer it reaches.
+    so it raises, naming the first stage and row that went non-finite; it
+    calls ``attn`` again for every layer it reaches.
     """
     try:
         logits = _layers(model, ids, attn, stash, hidden)
-        if not np.isnan(logits).any():
+        if np.isfinite(logits).all():
             return logits
     except NanDetectedError:
         pass
@@ -283,7 +274,8 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
 
 
 def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False):
-    """The pass of ``_forward``; with ``scan``, raise at the first NaN stage."""
+    """The pass of ``_forward``; with ``scan``, raise at the first
+    non-finite stage."""
     cfg = model.config
     p = model.params
     x = p["embedding"][ids]  # (..., d_model)
@@ -302,13 +294,13 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False):
             raise NanDetectedError(f"layer {i}: {exc}") from None
         x = x + a @ p[f"{pre}/attn/wo"]
         if scan:
-            _check_no_nan(x, "attention", i, position)
+            _check_finite(x, f"NaN after attention in layer {i}, position", position)
         h2, ln2 = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
         u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"]
         g, cdf = _gelu(u)
         x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"])
         if scan:
-            _check_no_nan(x, "MLP", i, position)
+            _check_finite(x, f"NaN after MLP in layer {i}, position", position)
         if stash is not None:
             stash.append(dict(h=h, ln1=ln1, a=a, ln2=ln2, h2=h2, u=u, g=g, cdf=cdf))
         if hidden is not None:
@@ -318,8 +310,8 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False):
     if stash is not None:
         stash.append((hf, lnf))
     logits = hf @ p["head"]
-    if scan and (row := _nan_row(logits)) is not None:
-        raise NanDetectedError(f"NaN in logits at position {position + row}")
+    if scan:
+        _check_finite(logits, "NaN in logits at position", position)
     return logits
 
 
@@ -584,9 +576,6 @@ class DecodeSession:
     @property
     def position(self) -> int:
         return self.cache.next_position
-
-    def peak_cache_entries(self) -> int:
-        return len(self.cache)
 
     def step(self, token: int) -> np.ndarray:
         """Consume one token, return next-position logits (vocab,).

@@ -382,7 +382,7 @@ def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
         stepped = np.stack([sess.step(int(t)) for t in ids])
         np.testing.assert_allclose(stepped, full, atol=1e-12, rtol=0)
         bound = n_global + 6 if mode == "lambda" else len(ids)
-        assert sess.peak_cache_entries() == bound
+        assert len(sess.cache) == bound
         for cut in (1, 5, 8, 13, 45):
             by_prefill, then_steps = DecodeSession(model, mode), DecodeSession(model, mode)
             head = by_prefill.prefill(ids[:cut])
@@ -399,7 +399,7 @@ def test_session_matches_forward_across_blocks(monkeypatch, encoding, n_global):
                     np.testing.assert_allclose(logits, want, atol=1e-12, rtol=0,
                                                err_msg=f"{mode} {cut} {name}")
                 assert np.array_equal(logits.argmax(-1), full.argmax(-1))
-            assert by_prefill.peak_cache_entries() == bound
+            assert len(by_prefill.cache) == bound
             assert by_prefill.position == len(ids)
 
 
@@ -512,7 +512,7 @@ def test_lambda_session_cache_is_bounded():
     sess = DecodeSession(model, "lambda")
     for t in range(100):
         sess.step(t % 31)
-    assert sess.peak_cache_entries() <= cfg.n_global + cfg.n_local
+    assert len(sess.cache) <= cfg.n_global + cfg.n_local
 
 
 def test_generate_rejects_used_session():
@@ -602,11 +602,11 @@ def test_step_failing_in_layer0_input_check_keeps_session_usable():
         np.testing.assert_array_equal(sess.step(t), fresh.step(t))
 
 
-# A NaN that shows first at one stage of one layer, in the row of the token
-# _LIVE and no earlier row. Every other token of these tests is _ZERO, whose
-# embedding is zero: with zero biases its rows stay exactly zero through
-# every layer, and zero times a huge finite weight is still zero. The
-# poisons push the _LIVE row's values past the float range instead.
+# A NaN or +-inf that shows first at one stage of one layer, in the row of
+# the token _LIVE and no earlier row. Every other token of these tests is
+# _ZERO, whose embedding is zero: with zero biases its rows stay exactly zero
+# through every layer, and zero times a huge finite weight is still zero.
+# The poisons push the _LIVE row's values past the float range instead.
 _ZERO, _LIVE = 0, 7
 
 
@@ -616,7 +616,7 @@ def _poison(params, layer, stage):
         params["embedding"][_LIVE, 0] = np.inf
     elif stage in ("qkv", "logits"):
         # The MLP before the next layer norm adds +inf (gelu >= -0.17, so no
-        # term is -inf), which no stage scan sees as NaN.
+        # term is -inf), which that MLP's stage scan names.
         pre = f"layer{layer - 1}" if stage == "qkv" else pre
         params[f"{pre}/ln2/gamma"] *= 1e3
         params[f"{pre}/mlp/w2"][:] = 1e308
@@ -630,14 +630,14 @@ def _poison(params, layer, stage):
 
 _POISON_MESSAGES = {
     (0, "qkv"): "layer 0: NaN in attention input q at row {r}",
-    (1, "qkv"): "layer 1: NaN in attention input q at row {r}",
+    (1, "qkv"): "NaN after MLP in layer 0, position {r}",
     (0, "attention"): "NaN after attention in layer 0, position {r}",
     (1, "attention"): "NaN after attention in layer 1, position {r}",
     (0, "mlp"): "NaN after MLP in layer 0, position {r}",
     (1, "mlp"): "NaN after MLP in layer 1, position {r}",
-    # Only the last layer's inf reaches the final norm alone; layer 0's is
-    # the (1, "qkv") case.
-    (1, "logits"): "NaN in logits at position {r}",
+    # The +inf that a layer's MLP adds is named at that MLP: layer 0's in
+    # the (1, "qkv") case, layer 1's in the (1, "logits") one.
+    (1, "logits"): "NaN after MLP in layer 1, position {r}",
 }
 
 
@@ -691,13 +691,13 @@ def test_nan_replay_names_stage_as_forward_does(monkeypatch, entry, mode, layer,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the final norm
 def test_nan_only_in_logits_raises_everywhere(tiny_corpus):
-    # An inf bias in the last MLP passes every stage scan: the final layer
-    # norm turns it into NaN. Each entry point raises instead of returning
-    # NaN logits, argmax tokens or a NaN NLL.
+    # An inf bias in the last MLP is named at that MLP's stage; the final
+    # layer norm would turn it into NaN logits. Each entry point raises
+    # instead of returning NaN logits, argmax tokens or a NaN NLL.
     model = init(tiny_config())
     model.params["layer1/mlp/b2"][0] = np.inf
     ids = np.arange(12) % 31
-    message = "NaN in logits at position 0"
+    message = "NaN after MLP in layer 1, position 0"
     for call in (
         lambda: forward(model, ids),
         lambda: forward(model, ids, mode="vanilla_causal"),
@@ -714,6 +714,30 @@ def test_nan_only_in_logits_raises_everywhere(tiny_corpus):
     with pytest.raises(TrainingDivergedError) as exc:
         train(model, tiny_corpus, steps=2, batch_shape=(2, 16))
     assert str(exc.value) == f"diverged at step 0: {message}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poison overflows
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_overflow_names_one_stage_for_every_entry_point(mode):
+    # One live row whose q product overflows. A one-row product (a step's)
+    # and a multi-row one can disagree on NaN against +-inf here, so the
+    # stage scans look for any non-finite value: forward, prefill and step
+    # then name the same stage and row.
+    model = init(tiny_config())
+    model.params["embedding"][np.arange(31) != _LIVE] = 0.0
+    model.params["layer0/ln1/gamma"] *= 1e3
+    model.params["layer0/attn/wq"][:] = 1e308
+    ids = np.full(6, _ZERO)
+    ids[3] = _LIVE
+    message = "layer 0: NaN in attention input q at row 3"
+    for call in (
+        lambda: forward(model, ids, mode=mode),
+        lambda: DecodeSession(model, mode).prefill(ids),
+        lambda: [sess.step(t) for sess in [DecodeSession(model, mode)] for t in ids],
+    ):
+        with pytest.raises(NanDetectedError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
