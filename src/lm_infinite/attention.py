@@ -9,14 +9,11 @@ the limit. The blocked kernel here calls it once per block and ``KvCache``
 once per chunk. ``vanilla_causal`` is G = 0, an unbounded window and no
 limit.
 
-The kernel scores query block [s, e) against the pinned keys [0, min(G, e))
-and the window band [max(G, s - W + 1), e). Lambda blocks hold ``BLOCK``
-rows, so its work and memory are O(n). Vanilla is one block of seq_len rows:
-dense causal attention at raw distances, the quadratic baseline (and the
-thing that breaks past the training length). Acceptance criterion 7 pins
-this baseline's cost, at least 8x the encode time for 4x the length; a
-blocked vanilla does about half the work and falls short of that at the
-criterion's probe lengths.
+The kernel scores query blocks of ``BLOCK`` rows in both modes: block
+[s, e) against the pinned keys [0, min(G, e)) and the window band
+[max(G, s - W + 1), e). Lambda's work and memory are O(n). A vanilla block
+sees every key [0, e), so vanilla is causal attention at raw distances, the
+quadratic baseline (and the thing that breaks past the training length).
 
 MaskParams enforces n_local <= l_pretrain, so only pinned keys can be far.
 Under RoPE every key scores <R(i) q_i, R(j) k_j> = <R(i-j) q_i, k_j> except
@@ -49,7 +46,7 @@ from lm_infinite.errors import NanDetectedError
 from lm_infinite.masking import MaskParams
 
 MODES = ("vanilla_causal", "lambda")
-BLOCK = 128  # query rows per lambda block
+BLOCK = 128  # query rows per block
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,6 @@ def _forward(q, k, v, config, rope=None):
     """
     seq_len = q.shape[-3]
     G, W, _ = _window(config)
-    block = BLOCK if config.mode == "lambda" else seq_len
     qn = np.ascontiguousarray(np.swapaxes(q, -3, -2))
     kn = np.ascontiguousarray(np.swapaxes(k, -3, -2))
     vh = np.ascontiguousarray(np.swapaxes(v, -3, -2))
@@ -270,8 +266,8 @@ def _forward(q, k, v, config, rope=None):
         stash.kn = apply_rotation_f64(kn, stash.rope)
 
     out = np.empty_like(qn)
-    for s in range(0, seq_len, block):
-        e = min(s + block, seq_len)
+    for s in range(0, seq_len, BLOCK):
+        e = min(s + BLOCK, seq_len)
         g, lo = min(G, e), (G if W is None else min(max(G, s - W + 1), e))
         js = np.concatenate([np.arange(g), np.arange(lo, e)])
         dist, masked, far = _geometry(np.arange(s, e), js, config)

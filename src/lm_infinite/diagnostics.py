@@ -154,8 +154,8 @@ def position_separation(
     """(|mean difference|, pooled std) of a PCA coordinate between the
     first ``group`` and last ``group`` positions."""
     coords = projection.coords[:, component]
-    if coords.size < 2 * group:
-        raise ValueError(f"need at least {2 * group} positions, got {coords.size}")
+    if not 2 <= group <= coords.size // 2:
+        raise ValueError(f"group must be in [2, {coords.size // 2}], got {group}")
     a, b = coords[:group], coords[-group:]
     pooled = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / 2.0)
     return abs(float(a.mean() - b.mean())), pooled

@@ -141,6 +141,8 @@ class KvCache:
         stack checks its output once per chunk."""
         if self._chunk is None:
             raise CacheStateError("attend() outside a step: call begin() first")
+        if not 0 <= layer < len(self._k):
+            raise ValueError(f"layer {layer} is outside [0, {len(self._k)})")
         first, scratch, end = self._chunk
         rows = (end - scratch + 1,) + self._entry
         q, k, v = (np.asarray(x, dtype=np.float64).reshape(rows) for x in (q, k, v))

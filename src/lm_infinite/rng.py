@@ -71,7 +71,7 @@ class SplitMix64:
         return (out * std).reshape(shape)
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        """Integers in [low, high) by 53-bit uniform scaling (high-low < 2**40)."""
+        """Integers in [low, high): 53-bit draws modulo the span (high-low < 2**40)."""
         span = high - low
         if span <= 0:
             raise ValueError("empty integer range")

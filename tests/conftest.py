@@ -8,9 +8,10 @@ time at 4x the length, per-token decode time at 4x the context). With two
 BLAS threads on a machine that other processes also load, a thread that is
 preempted stalls its peer inside every matrix product. That stall is a fixed
 delay per call, so it inflates a 30 ms forward far more than a 400 ms one:
-the vanilla 512 -> 2048 encode growth then reads 3-7x instead of 10-12x,
-which is the scheduler, not the attention. One thread keeps the timings to
-the work done.
+the vanilla 512 -> 2048 encode growth then reads 3-7x instead of the
+9.8-10.9x it reads on one thread (2 vCPUs, 20 runs, half of them next to
+one busy process), which is the scheduler, not the attention. One thread
+keeps the timings to the work done.
 
 OpenBLAS reads these variables once, when numpy is first imported, which is
 why this runs before any test module imports numpy. A value already set in

@@ -345,6 +345,8 @@ def small_blocks(monkeypatch):
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 @pytest.mark.parametrize("branches", BLOCK_CASES)
 def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
+    import lm_infinite.attention as attention
+
     rng = np.random.default_rng(hash((mode, kind, branches)) % 2**32)
     config = make_config(mode, kind, *branches)
     seq_len = 19  # four full blocks of 4 plus a partial one
@@ -352,6 +354,7 @@ def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
     got, stash = attend(q, k, v, config)
     want, w = oracle_attend(q, k, v, config)
     assert np.allclose(got.reshape(want.shape), want, atol=1e-12, rtol=0)
+    assert max(b.e - b.s for b in stash.blocks) <= attention.BLOCK
     entropy = stash.entropy()
     for i in range(seq_len):
         cols = np.flatnonzero(w[0, i] > 0)
@@ -370,21 +373,23 @@ def test_blocks_match_dense_oracle(small_blocks, mode, kind, branches):
 @pytest.mark.parametrize("kind", ["rope", "alibi"])
 @pytest.mark.parametrize("branches", BLOCK_CASES)
 def test_blocks_equal_one_block(monkeypatch, kind, branches):
-    # The block size is a schedule, not a semantic: every choice agrees.
+    # The block size is a schedule, not a semantic: every choice agrees, in
+    # both modes.
     import lm_infinite.attention as attention
 
     rng = np.random.default_rng(16)
     q, k, v = random_qkv(rng, 23)
     d_out = rng.normal(size=q.shape)
-    config = make_config("lambda", kind, *branches)
-    results = []
-    for block in (1, 3, 8, 64):
-        monkeypatch.setattr(attention, "BLOCK", block)
-        out, stash = attend(q, k, v, config)
-        results.append((out, *attend_backward(stash, d_out)))
-    for other in results[1:]:
-        for a, b in zip(results[0], other):
-            assert np.allclose(a, b, atol=1e-12, rtol=0)
+    for mode in ("lambda", "vanilla_causal"):
+        config = make_config(mode, kind, *branches)
+        results = []
+        for block in (1, 3, 8, 64):
+            monkeypatch.setattr(attention, "BLOCK", block)
+            out, stash = attend(q, k, v, config)
+            results.append((out, *attend_backward(stash, d_out)))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.allclose(a, b, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])

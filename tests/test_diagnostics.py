@@ -190,8 +190,9 @@ def test_position_separation_helper():
     proj = project_states(np.vstack([np.zeros((16, 3)), np.ones((16, 3)) * 4]))
     sep, pooled = position_separation(proj, group=16)
     assert sep > 0 and pooled >= 0
-    with pytest.raises(ValueError):
-        position_separation(proj, group=20)
+    for group in (20, 0, 1, -3):
+        with pytest.raises(ValueError):
+            position_separation(proj, group=group)
 
 
 # ---------------------------------------------------------------------------

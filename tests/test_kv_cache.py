@@ -105,6 +105,22 @@ def test_attend_outside_a_step_raises():
     assert cache.positions.tolist() == [0] and cache.next_position == 1
 
 
+@pytest.mark.parametrize("layer", [-1, 2])
+def test_attend_rejects_a_layer_out_of_range(layer):
+    # On a 2-layer cache, -1 would index layer 1's slots: it is refused
+    # before anything is stored, and the step can still be finished.
+    config = AttentionConfig(2, 4, MaskParams(n_global=2, n_local=3, l_pretrain=8), ALIBI)
+    cache = KvCache(config, 2)
+    cache.begin()
+    cache.attend(1, np.zeros(8), np.full(8, 7.0), np.full(8, 7.0))
+    with pytest.raises(ValueError, match=f"layer {layer} "):
+        cache.attend(layer, np.zeros(8), np.ones(8), np.ones(8))
+    cache.attend(0, np.zeros(8), np.ones(8), np.ones(8))
+    cache.advance()
+    assert cache.keys[:, 0].tolist() == [[[1.0] * 4] * 2, [[7.0] * 4] * 2]
+    assert cache.values[:, 0].tolist() == [[[1.0] * 4] * 2, [[7.0] * 4] * 2]
+
+
 def test_empty_cache_visible_is_empty():
     params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
     cache = make_cache(params)
