@@ -138,25 +138,35 @@ class SyntheticLanguage:
             raise ValueError("need n_sequences >= 1 and seq_len >= 1")
         motifs = self.motifs()
         base = self.seed if seed is None else seed
+        n_steps = seq_len // self.motif_len + 2
+        scale = 1.0 / (1 << 53)  # a 53-bit draw as a double in [0, 1)
         sequences = []
         for s in range(n_sequences):
             stream = SplitMix64(derive_stream(base, f"synthetic-corpus/seq{s}"))
-            n_steps = seq_len // self.motif_len + 2
-            current = int(stream.integers(0, self.n_motifs, 1)[0])
-            chunks = []
+            # The stream is counter-based, so one call yields the draws the
+            # scalar calls would: the first motif, then per step a stay draw
+            # and, on a jump, its target; the noise reads on from there.
+            bits = stream.next_u64(1 + 2 * n_steps + 2 * seq_len) >> np.uint64(11)
+            walk = bits[: 1 + 2 * n_steps].tolist()
+            current = walk[0] % self.n_motifs
+            path = []
+            at = 1
             for _ in range(n_steps):
-                chunks.append(motifs[current])
-                if float(stream.choice_prob(1)[0]) < self.p_stay:
+                path.append(current)
+                if walk[at] * scale < self.p_stay:
                     current = (current + 1) % self.n_motifs
+                    at += 1
                 else:
                     # Jump anywhere but the default successor.
-                    jump = int(stream.integers(0, self.n_motifs - 1, 1)[0])
+                    jump = walk[at + 1] % (self.n_motifs - 1)
                     successor = (current + 1) % self.n_motifs
                     current = jump if jump != successor else self.n_motifs - 1
-            clean = np.concatenate(chunks)[:seq_len]
+                    at += 2
+            clean = motifs[path].reshape(-1)[:seq_len]
             if self.noise > 0.0:
-                hit = stream.choice_prob(seq_len) < self.noise
-                repl = stream.integers(0, self.vocab_size, seq_len)
+                hit = bits[at : at + seq_len].astype(np.float64) * scale < self.noise
+                span = np.uint64(self.vocab_size)
+                repl = (bits[at + seq_len : at + 2 * seq_len] % span).astype(np.int64)
                 clean = np.where(hit, repl, clean)
             sequences.append(clean.astype(np.uint32))
         return sequences

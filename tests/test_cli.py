@@ -1,7 +1,9 @@
 """CLI contract tests: run main() in-process, assert on files and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,15 +618,19 @@ def test_bench_out_writes_the_printed_row(trained_dir, tmp_path, capsys):
 
 
 def test_module_entry_subprocess():
+    # pytest's own pythonpath setting does not reach a child process.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lm_infinite.cli", "mask", "--seq-len", "5",
          "--n-global", "1", "--n-local", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[0] == "0: global=[0,0) local=[0,1)"
     proc = subprocess.run(
         [sys.executable, "-m", "lm_infinite.cli", "mask", "--seq-len", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1  # seq_len must be positive -> ValueError

@@ -1,5 +1,6 @@
 """Corpus file formats and the synthetic motif language."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from lm_infinite.corpus import (
     save_corpus,
 )
 from lm_infinite.errors import CorpusFormatError
-from lm_infinite.rng import SplitMix64
+from lm_infinite.rng import SplitMix64, derive_stream
 
 
 def random_corpus(stream, n):
@@ -154,6 +155,56 @@ def test_sampling_is_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = lang.sample(3, 500, seed=43)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_sampling_matches_pinned_digest():
+    # Pins the stream layout: the first motif, a stay draw and (on a jump) a
+    # target per step, then the per-token noise draws.
+    seqs = SyntheticLanguage().sample(3, 500)
+    data = b"".join(seq.astype("<u4").tobytes() for seq in seqs)
+    assert hashlib.sha256(data).hexdigest() == (
+        "c3a9425078686e739c141210ef3ea01c7987643bf6ad0708df505c9e1166f5bd"
+    )
+
+
+def scalar_sample(lang, n_sequences, seq_len, seed):
+    """The sampler as scalar draws from the stream, one call per draw."""
+    motifs = lang.motifs()
+    out = []
+    for s in range(n_sequences):
+        stream = SplitMix64(derive_stream(seed, f"synthetic-corpus/seq{s}"))
+        current = int(stream.integers(0, lang.n_motifs, 1)[0])
+        chunks = []
+        for _ in range(seq_len // lang.motif_len + 2):
+            chunks.append(motifs[current])
+            if float(stream.choice_prob(1)[0]) < lang.p_stay:
+                current = (current + 1) % lang.n_motifs
+            else:
+                jump = int(stream.integers(0, lang.n_motifs - 1, 1)[0])
+                successor = (current + 1) % lang.n_motifs
+                current = jump if jump != successor else lang.n_motifs - 1
+        clean = np.concatenate(chunks)[:seq_len]
+        if lang.noise > 0.0:
+            hit = stream.choice_prob(seq_len) < lang.noise
+            clean = np.where(hit, stream.integers(0, lang.vocab_size, seq_len), clean)
+        out.append(clean.astype(np.uint32))
+    return out
+
+
+@pytest.mark.parametrize(
+    "changes, n_sequences, seq_len",
+    [
+        ({}, 3, 17),
+        ({"p_stay": 0.3, "noise": 0.4, "vocab_size": 7}, 4, 333),
+        ({"p_stay": 0.5, "noise": 0.0, "n_motifs": 3}, 2, 1),
+        ({"p_stay": 1.0, "motif_len": 5}, 2, 64),
+    ],
+)
+def test_sampling_equals_scalar_draws(changes, n_sequences, seq_len):
+    lang = replace(SyntheticLanguage(seed=21), **changes)
+    got = lang.sample(n_sequences, seq_len, seed=8)
+    want = scalar_sample(lang, n_sequences, seq_len, seed=8)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_sequences_have_exact_length_and_vocab():

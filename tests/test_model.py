@@ -19,6 +19,7 @@ from lm_infinite.evaluation import nll_curve
 from lm_infinite.model import (
     DecodeSession,
     ToyModel,
+    ToyModelConfig,
     forward,
     forward_traced,
     generate,
@@ -178,7 +179,27 @@ def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
     monkeypatch.setattr(model_module, "attend", recording)
     model = init(tiny_config())
     loss_and_grads(model, (np.arange(2 * 129).reshape(2, 129) * 7) % 31, mode=mode)
-    assert rows == [128] * model.config.n_layers
+    # Two sequences of 128 input rows, split into micro-batches.
+    per_chunk = max(1, model_module.MICRO_BATCH_ROWS // 128)
+    n_chunks = -(-2 // per_chunk)
+    assert set(rows) == {128}
+    assert len(rows) == model.config.n_layers * n_chunks
+
+
+def test_training_step_activation_peak_is_bounded():
+    # Micro-batches of one default-length sequence keep the stash of a
+    # 16x129 default-config step near 25 MB; 512-row chunks peaked at 79 MB.
+    import tracemalloc
+
+    model = init(ToyModelConfig())
+    ids = np.random.default_rng(5).integers(0, 256, (16, 129))
+    tracemalloc.start()
+    try:
+        loss_and_grads(model, ids, mode="vanilla_causal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("encoding", ["rope", "alibi"])
