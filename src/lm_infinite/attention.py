@@ -40,7 +40,7 @@ from lm_infinite.encoding import (
     AlibiParams,
     RopeParams,
     apply_rotation_f64,
-    rope_cos_sin,
+    rope_factor,
 )
 from lm_infinite.errors import NanDetectedError
 from lm_infinite.masking import MaskParams
@@ -148,8 +148,7 @@ def _geometry(rows, keys, config):
 def _far_factor(config: AttentionConfig) -> np.ndarray:
     """R(-l_pretrain) as a rotation factor: it turns a pinned key into its
     far key."""
-    cos, sin = rope_cos_sin(config.mask_params.l_pretrain, config.encoding)
-    return np.conj(cos + 1j * sin)
+    return np.conj(rope_factor(config.mask_params.l_pretrain, config.encoding))
 
 
 def _logits(qn, kn, dist, config, far=None):
@@ -189,19 +188,6 @@ def _attend_block(qn, kn, vn, dist, masked, config, far=None, out=None):
         np.copyto(z, -np.inf, where=masked)
     w = _softmax(z)
     return np.matmul(w, vn, out=out), w
-
-
-def rope_table(config: AttentionConfig, seq_len: int):
-    """The rotation factor cos + 1j * sin of positions 0 .. seq_len - 1
-    under RoPE, (seq_len, head_dim // 2); None under Alibi.
-
-    A pass over several layers builds it once and hands it to each layer's
-    ``attend``.
-    """
-    if not config.is_rope:
-        return None
-    cos, sin = rope_cos_sin(np.arange(seq_len), config.encoding)
-    return cos + 1j * sin
 
 
 # Query rows [s, e) against keys js, pinned [0, g) then band [lo, e): the
@@ -248,12 +234,9 @@ class _Stash:
         return z[..., 0, _seen(b, -1)]
 
 
-def _forward(q, k, v, config, rope=None):
+def _forward(q, k, v, config):
     """Blocked forward over (..., seq_len, n_heads, head_dim) inputs.
-
-    ``rope`` is ``rope_table(config, seq_len)``, built here if None.
-    Returns head-major values and the stash.
-    """
+    Returns head-major values and the stash."""
     seq_len = q.shape[-3]
     G, W, _ = _window(config)
     qn = np.ascontiguousarray(np.swapaxes(q, -3, -2))
@@ -261,7 +244,7 @@ def _forward(q, k, v, config, rope=None):
     vh = np.ascontiguousarray(np.swapaxes(v, -3, -2))
     stash = _Stash(config, [], qn, kn, vh)
     if config.is_rope:
-        stash.rope = rope_table(config, seq_len) if rope is None else rope
+        stash.rope = rope_factor(np.arange(seq_len), config.encoding)
         stash.qn = apply_rotation_f64(qn, stash.rope)
         stash.kn = apply_rotation_f64(kn, stash.rope)
 
@@ -349,16 +332,15 @@ def _validate_qkv(q_seq, k_seq, v_seq, config):
     return q, k, v
 
 
-def attend(q_seq, k_seq, v_seq, config: AttentionConfig, rope=None):
+def attend(q_seq, k_seq, v_seq, config: AttentionConfig):
     """Full-sequence attention over (..., seq_len, n_heads, head_dim) inputs.
 
-    ``rope`` is ``rope_table(config, seq_len)``, passed in so that the
-    layers of one pass share it; it is built here if None. Returns (values,
-    stash): values shaped like q, and the stash that attend_backward needs.
-    The stash also answers diagnostics: entropy(), row(i) and last_logits.
+    Returns (values, stash): values shaped like q, and the stash that
+    attend_backward needs. The stash also answers diagnostics: entropy(),
+    row(i) and last_logits.
     """
     q, k, v = _validate_qkv(q_seq, k_seq, v_seq, config)
-    out, stash = _forward(q, k, v, config, rope)
+    out, stash = _forward(q, k, v, config)
     return np.swapaxes(out, -3, -2), stash
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from lm_infinite.binary import ByteReader
 from lm_infinite.errors import CorpusFormatError
-from lm_infinite.rng import SplitMix64, derive_stream
+from lm_infinite.rng import SplitMix64, check_seed, derive_stream
 
 SENTENCE_SEP = 0xFFFFFFFE
 
@@ -125,6 +125,7 @@ class SyntheticLanguage:
             raise ValueError("degenerate language parameters")
         if not 0.0 <= self.noise < 1.0 or not 0.0 < self.p_stay <= 1.0:
             raise ValueError("p_stay must be in (0,1], noise in [0,1)")
+        check_seed(self.seed)
 
     def motifs(self) -> np.ndarray:
         stream = SplitMix64(derive_stream(self.seed, "synthetic-corpus/motifs"))

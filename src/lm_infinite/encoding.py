@@ -2,13 +2,13 @@
 distance-limited logit ops used by the lambda attention path.
 
 Adjacent component pairs (x_{2a}, x_{2a+1}) form the rotation planes; a
-pair is read as the complex number x_{2a} + i x_{2a+1}. A RoPE table is one
-complex factor per position and pair, cos + i sin of rope_cos_sin's angles,
-built once per pass or decode chunk; apply_rotation_f64 multiplies by it,
-and its conjugate is the inverse rotation (also the transpose, for the
-backward). Everything else runs and returns in float64. rope_logit and
-alibi_logit are the one-pair reference logits the attention tests check
-the kernel against.
+pair is read as the complex number x_{2a} + i x_{2a+1}. A RoPE table is
+rope_factor's one complex factor e^{i p omega_a} per position p and pair a,
+built once per attention call or decode chunk; apply_rotation_f64
+multiplies by it, and its conjugate is the inverse rotation (also the
+transpose, for the backward). Everything else runs and returns in float64.
+rope_logit and alibi_logit are the one-pair reference logits the attention
+tests check the kernel against.
 """
 
 from __future__ import annotations
@@ -70,22 +70,19 @@ def default_alibi_slopes(n_heads: int) -> tuple:
     return tuple(2.0 ** (-8.0 * h / n_heads) for h in range(1, n_heads + 1))
 
 
-def rope_cos_sin(positions, params: RopeParams):
-    """Float64 cos/sin tables for the given positions.
-
-    Returns (cos, sin) shaped positions.shape + (head_dim//2,), ready to
-    broadcast against vectors whose trailing axis is head_dim.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    angles = pos[..., None] * params.omegas()
-    return np.cos(angles), np.sin(angles)
+def rope_factor(positions, params: RopeParams) -> np.ndarray:
+    """The rotation factor e^{i p omega_a} of each position p and pair a,
+    complex128 shaped positions.shape + (head_dim//2,), ready for
+    apply_rotation_f64."""
+    angles = np.asarray(positions, dtype=np.float64)[..., None] * params.omegas()
+    return np.cos(angles) + 1j * np.sin(angles)
 
 
 def apply_rotation_f64(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Rotate adjacent pairs of the trailing axis; float64 in, float64 out.
 
-    ``factor`` is the complex table cos + 1j * sin, which must broadcast
-    against x[..., ::2]. Pass np.conj(factor) to invert, which is also the
+    ``factor`` is a rope_factor table, which must broadcast against
+    x[..., ::2]. Pass np.conj(factor) to invert, which is also the
     transpose — handy for backpropagating through a rotation.
 
     Each pair is read as the complex number x_{2a} + i x_{2a+1} and
@@ -120,8 +117,7 @@ def rope_logit(q, k, dist: int, params: RopeParams) -> float:
         raise ValueError(f"q/k shape mismatch: {q.shape} vs {k.shape}")
     if dist < 0:
         raise ValueError(f"dist must be >= 0, got {dist}")
-    cos, sin = rope_cos_sin(dist, params)
-    rotated = apply_rotation_f64(q, cos + 1j * sin)
+    rotated = apply_rotation_f64(q, rope_factor(dist, params))
     return float(np.sum(rotated * k, axis=-1) / math.sqrt(params.head_dim))
 
 

@@ -55,7 +55,7 @@ from lm_infinite.attention import (
     _geometry,
     _window,
 )
-from lm_infinite.encoding import apply_rotation_f64, rope_cos_sin
+from lm_infinite.encoding import apply_rotation_f64, rope_factor
 from lm_infinite.errors import CacheStateError
 
 _MIN_CAPACITY = 16  # first allocation of a growing (vanilla) cache
@@ -129,8 +129,7 @@ class KvCache:
         self._geometry = _geometry(rows, self._pos[:end], self.config)
         self._rotation = None
         if self.config.is_rope:
-            cos, sin = rope_cos_sin(rows, self.config.encoding)
-            self._rotation = (cos + 1j * sin)[:, None]  # broadcast over heads
+            self._rotation = rope_factor(rows, self.config.encoding)[:, None]  # over heads
 
     def attend(self, layer: int, q, k, v) -> np.ndarray:
         """Layer ``layer``'s part of the chunk begun by begin(): store its

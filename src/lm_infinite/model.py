@@ -35,7 +35,6 @@ from lm_infinite.attention import (
     _check_nan,
     attend,
     attend_backward,
-    rope_table,
 )
 from lm_infinite.binary import ByteReader
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
@@ -47,7 +46,7 @@ from lm_infinite.errors import (
 )
 from lm_infinite.kv_cache import KvCache
 from lm_infinite.masking import MaskParams
-from lm_infinite.rng import SplitMix64, derive_stream
+from lm_infinite.rng import SplitMix64, check_seed, derive_stream
 
 _LN_EPS = 1e-5
 _INIT_STD = 0.02
@@ -91,6 +90,9 @@ class ToyModelConfig:
             raise ValueError("train_len must be >= 8")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
+        check_seed(self.seed)
+        if self.head_dim < 2:  # before the Alibi slopes, one per head, are built
+            raise ValueError(f"head_dim must be even and >= 2, got {self.head_dim}")
         # The attention, mask and encoding configs check head_dim, window
         # sizes and rope_base, so a bad config fails at construction.
         self.attention_for("lambda")
@@ -117,6 +119,11 @@ class ToyModelConfig:
             encoding=enc,
             mode=mode,
         )
+
+
+def _param_count(vocab_size: int, d: int, n_layers: int) -> int:
+    """The number of values in _param_shapes' tensors, without building them."""
+    return 2 * vocab_size * d + 2 * d + n_layers * (12 * d * d + 9 * d)
 
 
 def _param_shapes(config: ToyModelConfig) -> dict:
@@ -325,8 +332,7 @@ def forward(model: ToyModel, tokens, mode: str = "lambda") -> np.ndarray:
     if ids.ndim != 1:
         raise ValueError(f"tokens must be one-dimensional, got shape {ids.shape}")
     att_config = model.config.attention_for(mode)
-    rope = rope_table(att_config, ids.size)
-    return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config, rope)[0])
+    return _forward(model, ids, lambda i, q, k, v: attend(q, k, v, att_config)[0])
 
 
 def forward_traced(model: ToyModel, tokens, mode: str = "lambda"):
@@ -337,11 +343,10 @@ def forward_traced(model: ToyModel, tokens, mode: str = "lambda"):
     if ids.ndim != 1:
         raise ValueError(f"tracing expects a single sequence, got shape {ids.shape}")
     att_config = model.config.attention_for(mode)
-    rope = rope_table(att_config, ids.size)
     trace = ModelTrace(hidden=[], entropy=[], last_logits=[], last_distances=[])
 
     def attn(i, q, k, v):
-        values, stash = attend(q, k, v, att_config, rope)
+        values, stash = attend(q, k, v, att_config)
         trace.entropy.append(stash.entropy())
         trace.last_logits.append(stash.last_logits)
         trace.last_distances.append(stash.row(-1)[2])
@@ -384,7 +389,6 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
     cfg = model.config
     p = model.params
     inputs, targets = ids[..., :-1], ids[..., 1:]
-    rope = rope_table(att_config, inputs.shape[-1])
     att_stashes = []
 
     def add(name, g):
@@ -394,7 +398,7 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
             grads[name] = g
 
     def attn(i, q, k, v):
-        a, att_stash = attend(q, k, v, att_config, rope)
+        a, att_stash = attend(q, k, v, att_config)
         att_stashes.append(att_stash)
         return a
 
@@ -696,17 +700,27 @@ def load_model(path) -> ToyModel:
     (version,) = reader.unpack("<I", "version")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    types = {f.name: type(f.default) for f in fields(ToyModelConfig)}
+    defaults = {f.name: f.default for f in fields(ToyModelConfig)}
     kwargs = {}
     (n,) = reader.unpack("<I", "config length")
     for line in reader.text(n, "config block").splitlines():
         key, _, value = line.partition("=")
-        if key not in types:
+        if key not in defaults:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"{path}: repeated config key {key!r}")
         try:
-            kwargs[key] = types[key](value)
+            kwargs[key] = type(defaults[key])(value)
         except ValueError:
             raise ValueError(f"{path}: bad config value {key}={value!r}") from None
+    # Checked before the config and its shape table are built from these sizes.
+    sizes = {**defaults, **kwargs}
+    need = 4 * _param_count(sizes["vocab_size"], sizes["d_model"], sizes["n_layers"])
+    if need > len(blob) - reader.offset:
+        raise ValueError(
+            f"{path}: checkpoint ends at byte {len(blob)}, but its config's "
+            f"tensors need {need} bytes of data after byte {reader.offset}"
+        )
     try:
         config = ToyModelConfig(**kwargs)
     except ValueError as exc:

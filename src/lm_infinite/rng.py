@@ -34,8 +34,15 @@ def _fnv1a(name: str) -> np.uint64:
     return h
 
 
+def check_seed(seed: int) -> None:
+    """Raise a ValueError naming ``seed`` unless it is a u64, in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def derive_stream(seed: int, name: str) -> int:
     """Derive the seed of a named sub-stream from a master seed."""
+    check_seed(seed)
     z = _mix(np.uint64(seed) ^ _fnv1a(name))
     with np.errstate(over="ignore"):
         return int(_mix(z + _GAMMA))

@@ -1,7 +1,7 @@
 """Run the suite's numpy on one BLAS thread, as the benchmark harness does,
 and share the greedy decoding oracle (``greedy_oracle``) and the small model
 config (``tiny_config``, imported as ``from conftest import tiny_config``)
-between test files.
+between test files; ``rewrite_config`` forges LMTM checkpoints.
 
 The acceptance gates time how cost grows with length (criterion 7: encode
 time at 4x the length, per-token decode time at 4x the context). With two
@@ -19,6 +19,7 @@ the environment is kept.
 """
 
 import os
+import struct
 
 import pytest
 
@@ -61,3 +62,16 @@ def tiny_config(**over):
     )
     base.update(over)
     return ToyModelConfig(**base)
+
+
+def rewrite_config(blob: bytes, edits: dict, tensors: bool = True) -> bytes:
+    """An LMTM checkpoint's bytes with each ``old: new`` of ``edits`` replaced
+    in its config block, whose length prefix is fixed up; its tensors are
+    dropped unless ``tensors``."""
+    n = struct.unpack_from("<I", blob, 8)[0]
+    block = blob[12 : 12 + n]
+    for old, new in edits.items():
+        assert old in block, old
+        block = block.replace(old, new)
+    tail = blob[12 + n :] if tensors else b""
+    return blob[:8] + struct.pack("<I", len(block)) + block + tail

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rewrite_config
 
 from lm_infinite import cli
 from lm_infinite.errors import NanDetectedError
@@ -126,6 +127,23 @@ def test_truncated_model_exit_one_names_path_and_byte(trained_dir, tmp_path, cap
     assert str(cut) in err and f"byte {len(blob) // 2 + 1}" in err
 
 
+@pytest.mark.parametrize("edits, tensors, message", [
+    ({b"d_model=16\n": b"d_model=1000000000000\n"}, False, "tensors need"),
+    ({b"n_layers=2\n": b"n_layers=3000000\n"}, False, "tensors need"),
+    ({b"n_global=2\n": b"n_global=2\nn_global=3\n"}, True, "repeated config key"),
+])
+def test_forged_model_header_exit_one(edits, tensors, message, trained_dir, tmp_path,
+                                      capsys):
+    blob = (trained_dir / "model.lmtm").read_bytes()
+    forged = tmp_path / "forged.lmtm"
+    forged.write_bytes(rewrite_config(blob, edits, tensors))
+    rc = cli.main(["generate", "--model", str(forged), "--prompt", "1 2 3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {forged}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_corpus_file_exit_one_names_path(trained_dir, capsys):
     rc = cli.main(["eval", "--model", str(trained_dir / "model.lmtm"),
                    "--corpus", "/no/such/corpus.txt"])
@@ -231,6 +249,22 @@ def test_train_rejects_broken_model_config(flag, value, message, tmp_path, capsy
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("sub", ["train", "diag", "bench"])
+def test_seed_outside_u64_exits_one(sub, seed, trained_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = {
+        "train": ["train", *TINY, "--steps", "1", "--out", str(out)],
+        "diag": ["diag", "--model", str(trained_dir / "model.lmtm"), "--out", str(out)],
+        "bench": ["bench", "--seq-len", "16"],
+    }[sub]
+    rc = cli.main([*argv, "--seed", seed])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
     assert not out.exists()
 
 

@@ -207,6 +207,12 @@ def test_sampling_equals_scalar_draws(changes, n_sequences, seq_len):
     assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_language_rejects_seed_outside_u64_at_construction(seed):
+    with pytest.raises(ValueError, match=f"seed must be in .*, got {seed}$"):
+        SyntheticLanguage(seed=seed)
+
+
 def test_sequences_have_exact_length_and_vocab():
     lang = SyntheticLanguage(vocab_size=64, seed=1)
     for seq in lang.sample(4, 333):

@@ -1,4 +1,5 @@
-"""Smoke runs of every demo: each must exit 0 in a fresh directory."""
+"""Smoke runs of every demo: each must exit 0 in a fresh directory, with
+warnings turned into errors as they are in the rest of the suite."""
 
 import os
 import subprocess
@@ -16,7 +17,7 @@ def run_demo(name, cwd):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
         cwd=cwd,
         env=env,
         capture_output=True,

@@ -12,21 +12,22 @@ from lm_infinite.encoding import (
     alibi_logit,
     apply_rotation_f64,
     default_alibi_slopes,
-    rope_cos_sin,
+    rope_factor,
     rope_logit,
 )
 from lm_infinite.masking import MaskParams, effective_distance
 
 
-def factor(positions, params):
-    """The complex rotation table cos + i sin of the given positions."""
-    cos, sin = rope_cos_sin(positions, params)
-    return cos + 1j * sin
+def cos_sin(positions, params):
+    """The (cos, sin) tables of the given positions' angles p * omega_a."""
+    a = np.asarray(positions, dtype=np.float64)[..., None] * params.omegas()
+    return np.cos(a), np.sin(a)
 
 
 def rotate(x, position, params):
     """Rotate x to an absolute position, as the model does."""
-    return apply_rotation_f64(np.asarray(x, dtype=np.float64), factor(position, params))
+    x = np.asarray(x, dtype=np.float64)
+    return apply_rotation_f64(x, rope_factor(position, params))
 
 
 def full_logit_oracle(q, k, i, j, params):
@@ -155,7 +156,7 @@ def test_rotation_inverse_via_negated_sin():
     params = RopeParams(head_dim=16)
     rng = np.random.default_rng(207)
     x = rng.normal(size=(3, 16))
-    f = factor(123, params)
+    f = rope_factor(123, params)
     back = apply_rotation_f64(apply_rotation_f64(x, f), np.conj(f))
     assert np.allclose(back, x, atol=1e-12)
 
@@ -174,8 +175,8 @@ def test_rotation_factor_equals_cos_sin_formula_bitwise(sign):
     rng = np.random.default_rng(419)
     x = rng.normal(size=(3, 40, 16))
     positions = np.append(np.arange(39), 4096)  # 0 has sin exactly 0
-    cos, sin = rope_cos_sin(positions, params)
-    f = factor(positions, params)
+    cos, sin = cos_sin(positions, params)
+    f = rope_factor(positions, params)
     f = f if sign > 0 else np.conj(f)
     got = apply_rotation_f64(x, f)
     assert got.tobytes() == cos_sin_rotation(x, cos, sign * sin).tobytes()
@@ -203,9 +204,11 @@ def test_complex_rotation_equals_pair_formula(layout, sign):
         x = base[..., :5, :]  # the far-key slice [..., :G, :]
     else:
         x = np.swapaxes(base.reshape(2, 12, 3, 16), -3, -2)  # (..., H, seq, hd) view
-    cos, sin = rope_cos_sin(np.arange(x.shape[-2]), params)  # broadcast over (2, 3)
+    positions = np.arange(x.shape[-2])
+    f = rope_factor(positions, params)  # broadcast over (2, 3)
+    cos, sin = cos_sin(positions, params)
     before = x.copy()
-    got = apply_rotation_f64(x, cos + 1j * (sign * sin))
+    got = apply_rotation_f64(x, f if sign > 0 else np.conj(f))
     assert got.shape == x.shape and got.dtype == np.float64
     np.testing.assert_allclose(got, pair_formula(x, cos, sign * sin), rtol=0, atol=1e-15)
     assert np.array_equal(x, before)

@@ -3,10 +3,11 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import tiny_config
+from conftest import rewrite_config, tiny_config
 
 from lm_infinite.corpus import SyntheticLanguage
 from lm_infinite.errors import (
@@ -172,9 +173,9 @@ def test_loss_forward_covers_only_input_rows(monkeypatch, mode):
     rows = []
     real = model_module.attend
 
-    def recording(q, k, v, config, rope):
+    def recording(q, k, v, config):
         rows.append(q.shape[-3])
-        return real(q, k, v, config, rope)
+        return real(q, k, v, config)
 
     monkeypatch.setattr(model_module, "attend", recording)
     model = init(tiny_config())
@@ -218,9 +219,9 @@ def test_micro_batches_equal_one_chunk(monkeypatch, mode, encoding):
     attend_rows = []
     real = model_module.attend
 
-    def recording(q, k, v, config, rope):
+    def recording(q, k, v, config):
         attend_rows.append(q.shape[0])
-        return real(q, k, v, config, rope)
+        return real(q, k, v, config)
 
     monkeypatch.setattr(model_module, "attend", recording)
     monkeypatch.setattr(model_module, "MICRO_BATCH_ROWS", 40)  # 2 sequences a chunk
@@ -304,6 +305,13 @@ def test_train_rejects_bad_lr_before_any_step(tiny_corpus, lr):
         train(model, tiny_corpus, steps=3, lr=lr, batch_shape=(2, 16))
     for name, arr in before.params.items():
         assert np.array_equal(model.params[name], arr), name
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_train_rejects_seed_outside_u64(tiny_corpus, seed):
+    model = init(tiny_config())
+    with pytest.raises(ValueError, match=f"seed must be in .*, got {seed}$"):
+        train(model, tiny_corpus, steps=1, batch_shape=(2, None), seed=seed)
 
 
 def test_train_requires_long_enough_sequences():
@@ -782,20 +790,20 @@ def test_nan_after_attention_is_named_before_next_layer_input(mode):
 
 
 @pytest.mark.parametrize("n_layers", [1, 4])
-def test_decode_step_computes_rope_cos_sin_once(monkeypatch, n_layers):
-    # Layer 0 works out the step's cos/sin for every layer, before and past
-    # the clamp (far pinned keys were rotated when they were stored).
+def test_decode_step_computes_rope_factor_once(monkeypatch, n_layers):
+    # begin() works out the step's rotation factor for every layer, before
+    # and past the clamp (far pinned keys were rotated when they were stored).
     import lm_infinite.kv_cache as kv_cache
 
-    cos_sin = kv_cache.rope_cos_sin
+    factor = kv_cache.rope_factor
     positions = []
 
     def counting(position, params):
         positions.append(position)
-        return cos_sin(position, params)
+        return factor(position, params)
 
     sess = DecodeSession(init(tiny_config(n_layers=n_layers)), "lambda")
-    monkeypatch.setattr(kv_cache, "rope_cos_sin", counting)
+    monkeypatch.setattr(kv_cache, "rope_factor", counting)
     for t in range(24):
         sess.step(t % 31)
     assert positions == list(range(24))
@@ -956,10 +964,69 @@ def test_bad_mode_raises_in_forward_session_and_generate():
     (dict(d_model=6, n_heads=2), "head_dim must be even and >= 2"),
     (dict(rope_base=-1.0), "base must be positive and finite"),
     (dict(rope_base=float("nan")), "base must be positive and finite"),
+    (dict(seed=-1), r"seed must be in \[0, 2\*\*64\), got -1$"),
+    (dict(seed=2**64), f"seed must be in .*, got {2**64}$"),
 ])
 def test_config_rejects_broken_values_at_construction(over, message):
     with pytest.raises(ValueError, match=message):
         tiny_config(**over)
+
+
+# Headers that ask for more than a tiny file holds: (edits, the error, with
+# {end} the byte where the file ends).
+TOO_BIG = "checkpoint ends at byte {end}, but its config's tensors need"
+FORGED_HEADERS = {
+    "d_model": ({b"d_model=16\n": b"d_model=1000000000000\n"}, TOO_BIG),
+    "n_layers": ({b"n_layers=2\n": b"n_layers=3000000\n"}, TOO_BIG),
+    "alibi_heads": (
+        {b"d_model=16\n": b"d_model=0\n", b"n_heads=2\n": b"n_heads=1000000000\n",
+         b"encoding=rope\n": b"encoding=alibi\n"},
+        "head_dim must be even and >= 2, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_HEADERS))
+def test_load_rejects_forged_header_sizes_without_allocating(tmp_path, case):
+    # The header is checked before a config or a tensor is built from it, so
+    # a file of a few hundred bytes cannot ask for TiBs or for 3e6 layers.
+    edits, message = FORGED_HEADERS[case]
+    path = tmp_path / "forged.lmtm"
+    save_model(init(tiny_config()), path)
+    blob = rewrite_config(path.read_bytes(), edits, tensors=False)
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message.format(end=len(blob)) in str(exc.value)
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_param_count_matches_param_shapes():
+    from lm_infinite.model import _param_count, _param_shapes
+
+    for over in (dict(), dict(vocab_size=7, d_model=8, n_layers=3, n_heads=4)):
+        cfg = tiny_config(**over)
+        shapes = _param_shapes(cfg).values()
+        assert _param_count(cfg.vocab_size, cfg.d_model, cfg.n_layers) == sum(
+            math.prod(s) for s in shapes
+        )
+
+
+def test_load_rejects_repeated_config_key(tmp_path):
+    path = tmp_path / "m.lmtm"
+    save_model(init(tiny_config()), path)
+    path.write_bytes(
+        rewrite_config(path.read_bytes(), {b"n_global=2\n": b"n_global=2\nn_global=3\n"})
+    )
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: repeated config key 'n_global'"
 
 
 def test_load_rejects_broken_config_block_names_path(tmp_path):

@@ -1,6 +1,7 @@
 """Determinism and distribution sanity for the splitmix64 generator."""
 
 import numpy as np
+import pytest
 
 from lm_infinite.rng import SplitMix64, derive_stream
 
@@ -33,6 +34,16 @@ def test_derive_stream_separates_names():
     assert len({int(s1), int(s2), int(s3)}) == 3
     # And is itself deterministic.
     assert derive_stream(42, "init") == s1
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**70])
+def test_derive_stream_rejects_seed_outside_u64(seed):
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+        derive_stream(seed, "init")
+
+
+def test_derive_stream_takes_the_whole_u64_range():
+    assert derive_stream(0, "init") != derive_stream(2**64 - 1, "init")
 
 
 def test_uniform_range_and_mean():
