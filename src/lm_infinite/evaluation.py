@@ -95,12 +95,13 @@ def nll_curve(model, corpus, milestones, mode: str = "lambda"):
     """Per-milestone NLL in a trailing window, one streamed pass per sequence.
 
     Each sequence is run once, up to its largest qualifying milestone,
-    through a fresh DecodeSession's prefill, one cache chunk at a time. A
-    chunk's logits are dropped once the target log-probabilities inside the
-    milestone windows are read off them, so a lambda curve runs in memory
-    bounded whatever the length. Smaller milestones reuse rows of the same
-    pass (causality makes them identical to truncated passes). Sequences
-    shorter than a milestone are skipped and counted.
+    through one ``prefill`` of a fresh DecodeSession that returns only the
+    rows inside the milestone windows: the cache takes every token, one
+    chunk at a time, but the last layer and the head run only for those
+    rows, so a lambda curve runs in memory bounded whatever the length.
+    Smaller milestones reuse rows of the same pass (causality makes them
+    identical to truncated passes). Sequences shorter than a milestone are
+    skipped and counted.
     """
     ms = _spec(milestones).milestones
     corpus = [np.asarray(s) for s in corpus]
@@ -114,20 +115,16 @@ def nll_curve(model, corpus, milestones, mode: str = "lambda"):
         if top is None:
             continue
         ids = seq[:top].astype(np.int64)
+        # Row r predicts ids[r + 1]: milestone m reads rows [first, m - 1),
+        # and the last token is never fed.
         windows = [(m, max(1, m - NLL_WINDOW) - 1) for m in ms if m <= top]
-        session = DecodeSession(model, mode)
-        size = session.cache.max_chunk
-        # Row r predicts ids[r + 1], so the last token is never fed.
-        for s in range(0, top - 1, size):
-            e = min(s + size, top - 1)
-            logits = session.prefill(ids[s:e])
-            for m, first in windows:
-                a, b = max(s, first), min(e, m - 1)
-                if a < b:
-                    logp = _log_softmax(logits[a - s : b - s])
-                    rows = logp[np.arange(b - a), ids[a + 1 : b + 1]]
-                    parts[m].extend((-rows).tolist())
-        for m, _ in windows:
+        spans = [np.arange(first, m - 1) for m, first in windows]
+        rows = np.unique(np.concatenate(spans))
+        logp = _log_softmax(DecodeSession(model, mode).prefill(ids[:-1], rows=rows))
+        nll = -logp[np.arange(rows.size), ids[rows + 1]]
+        for m, first in windows:
+            a, b = np.searchsorted(rows, (first, m - 1))
+            parts[m].extend(nll[a:b].tolist())
             counts[m] += 1
 
     points = []
@@ -224,8 +221,14 @@ def truncation_baseline(
     re-encoding from scratch (positions restart at 0 every step), the
     quadratic-cost baseline the lambda mask is meant to beat.
 
-    Op counts are analytic attention-cell counts (layers x heads x pairs),
-    deterministic by construction; wall-clock lives in bench().
+    Each step prefills the window into a fresh vanilla DecodeSession and
+    reads the logits of its last row only, so the last layer's queries,
+    MLP and head run for that one row. ``op_count`` is still the analytic
+    cost of the protocol: c(c+1)/2 cells per layer and head for each
+    re-encoded context of c tokens, so total_gen * W(W+1)/2 * n_layers *
+    n_heads per sequence once the prompt fills the window W. It counts
+    every row of every re-encoding, not the cells this code scores. Op
+    counts are deterministic by construction; wall-clock lives in bench().
     """
     cfg = model.config
     if window_w < 1:
@@ -253,8 +256,9 @@ def truncation_baseline(
         for _ in range(total_gen):
             ctx = context[-window_w:]
             per_head += _cells(len(ctx))
-            logits = forward(model, np.asarray(ctx), mode="vanilla_causal")
-            nxt = int(np.argmax(logits[-1]))
+            session = DecodeSession(model, "vanilla_causal")
+            logits = session.prefill(np.asarray(ctx), rows=[len(ctx) - 1])
+            nxt = int(np.argmax(logits[0]))
             out.append(nxt)
             context.append(nxt)
         ref = seq[prompt_len : prompt_len + total_gen]

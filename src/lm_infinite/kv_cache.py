@@ -14,10 +14,12 @@ positions older: the pinned prefix stays, and at most n_global + n_local
 entries are kept per layer however long the stream runs. A chunk's first
 row still needs the n_local - 1 keys before it, so while a chunk is scored
 only its first position is in its ring slot; the other C - 1 sit in scratch
-slots after the ring and move to their ring slots when the chunk ends. The
-arrays hold n_global + n_local + max_chunk - 1 slots, allocated once. In
+slots after the ring and move to their ring slots when the chunk ends. In
 vanilla mode (no pinned prefix, an unbounded window) position p goes to
-slot p, nothing is evicted and the arrays double when full.
+slot p and nothing is evicted. In both modes the arrays start small and
+double when a chunk needs more slots; a lambda cache stops at n_global +
+n_local + max_chunk - 1, so its memory follows the stream, not the
+config's window sizes.
 
 Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 ``values`` (slot-major views, (n_layers, len, n_heads, head_dim)) and
@@ -25,9 +27,9 @@ Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 chunk is ``begin(C)``, which places it in slots, takes its distances, mask
 and far-key mask from ``attention._geometry`` over the positions of the
 slots in use and builds its RoPE rotation factor, once for all layers;
-then ``attend(layer, q, k, v)`` for each layer, which stores the chunk with
-one write per array and scores it with ``attention._attend_block``; then
-``advance()``.
+then ``attend(layer, q, k, v, rows)`` for each layer, which stores the
+chunk with one write per array and scores the chunk rows ``rows`` (all of
+them by default) with ``attention._attend_block``; then ``advance()``.
 
 ``attend`` does not check its inputs: the model checks a chunk's logits
 once and, if they hold a NaN or an inf, replays the chunk with a scan after
@@ -39,8 +41,9 @@ n_local positions older, is outside the window from then on.
 
 Under RoPE a far pinned key scores <q, R(-l_pretrain) k> (see
 ``attention``). The cache stores that far key once, when its pinned token
-is stored, in row j of a (n_layers, n_heads, n_global, head_dim) array, so
-a chunk costs one rotation factor of its own positions and no other trig.
+is stored, in row j of a (n_layers, n_heads, <= n_global, head_dim) array
+that grows like the others, so a chunk costs one rotation factor of its own
+positions and no other trig.
 """
 
 from __future__ import annotations
@@ -58,7 +61,15 @@ from lm_infinite.attention import (
 from lm_infinite.encoding import apply_rotation_f64, rope_factor
 from lm_infinite.errors import CacheStateError
 
-_MIN_CAPACITY = 16  # first allocation of a growing (vanilla) cache
+_MIN_CAPACITY = 16  # slots of the first allocation; the arrays double from it
+
+
+def _grown(a, size, axis):
+    """A copy of ``a`` whose axis ``axis`` holds ``size`` entries, the old
+    ones first."""
+    out = np.empty(a.shape[:axis] + (size,) + a.shape[axis + 1 :], dtype=a.dtype)
+    out[(slice(None),) * axis + (slice(a.shape[axis]),)] = a
+    return out
 
 
 class KvCache:
@@ -71,16 +82,17 @@ class KvCache:
         self._len = 0
         G, W, _ = _window(config)
         self._n_global, self._n_local = G, W
-        capacity = _MIN_CAPACITY if W is None else G + W + self.max_chunk - 1
+        # The most slots a stream can use: the ring plus one chunk's scratch.
+        self._bound = None if W is None else G + W + self.max_chunk - 1
         self._entry = (config.n_heads, config.head_dim)
-        self._k = np.empty((n_layers, config.n_heads, capacity, config.head_dim))
+        self._k = np.empty((n_layers, config.n_heads, _MIN_CAPACITY, config.head_dim))
         self._v = np.empty_like(self._k)
-        self._pos = np.empty(capacity, dtype=np.int64)
+        self._pos = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
         self._to_far = None
         if config.is_rope and G:
             self._to_far = _far_factor(config)
-            self._kf = np.full((n_layers, config.n_heads, G, config.head_dim), np.nan)
+            self._kf = self._k[:, :, :0].copy()  # row j: pinned position j
 
     def __len__(self) -> int:
         return self._len
@@ -107,14 +119,15 @@ class KvCache:
         first = p if W is None or p < G else G + (p - G) % W
         scratch = max(self._len, first + 1)
         end = scratch + n - 1
-        if end > len(self._pos):  # a full vanilla cache: grow it, copying once
-            old = len(self._pos)
-            n_layers, n_heads, _, head_dim = self._k.shape
-            k = np.empty((n_layers, n_heads, max(2 * old, end), head_dim))
-            v = np.empty_like(k)
-            pos = np.empty(k.shape[2], dtype=np.int64)
-            k[:, :, :old], v[:, :, :old], pos[:old] = self._k, self._v, self._pos
-            self._k, self._v, self._pos = k, v, pos
+        if end > len(self._pos):  # a full cache: double it, copying once
+            size = max(2 * len(self._pos), end)
+            size = size if self._bound is None else min(size, self._bound)
+            self._k, self._v = _grown(self._k, size, 2), _grown(self._v, size, 2)
+            self._pos = _grown(self._pos, size, 0)
+        pinned = min(G, p + n)  # the far keys of pinned positions up to here
+        if self._to_far is not None and pinned > self._kf.shape[2]:
+            size = min(G, max(2 * self._kf.shape[2], _MIN_CAPACITY, pinned))
+            self._kf = _grown(self._kf, size, 2)
         self._pos[first] = p
         self._pos[scratch:end] = np.arange(p + 1, p + n)
         self._chunk = (first, scratch, end)
@@ -131,25 +144,28 @@ class KvCache:
         if self.config.is_rope:
             self._rotation = rope_factor(rows, self.config.encoding)[:, None]  # over heads
 
-    def attend(self, layer: int, q, k, v) -> np.ndarray:
-        """Layer ``layer``'s part of the chunk begun by begin(): store its
-        keys (a RoPE key rotated to its own position) and values, then
-        attend. q, k and v and the result hold C * n_heads * head_dim values
-        each, the result flat; it matches the corresponding attend() rows to
-        numerical precision. The inputs are not checked: the model's layer
-        stack checks its output once per chunk."""
+    def attend(self, layer: int, q, k, v, rows=None) -> np.ndarray:
+        """Layer ``layer``'s part of the chunk begun by begin(): store the
+        keys (a RoPE key rotated to its own position) and values of all C
+        chunk rows, then attend for the chunk rows ``rows``, a strictly
+        increasing index array (None: all C). k and v hold C * n_heads *
+        head_dim values, q and the flat result len(rows) * n_heads *
+        head_dim; the result matches the corresponding attend() rows to
+        numerical precision. The geometry and rotation factor of begin()
+        are indexed by ``rows``; with no rows the call ends once the chunk
+        is stored. The inputs are not checked: the model's layer stack
+        checks its output once per chunk."""
         if self._chunk is None:
             raise CacheStateError("attend() outside a step: call begin() first")
         if not 0 <= layer < len(self._k):
             raise ValueError(f"layer {layer} is outside [0, {len(self._k)})")
         first, scratch, end = self._chunk
-        rows = (end - scratch + 1,) + self._entry
-        q, k, v = (np.asarray(x, dtype=np.float64).reshape(rows) for x in (q, k, v))
+        n = end - scratch + 1
+        k, v = (np.asarray(x, dtype=np.float64).reshape((n,) + self._entry) for x in (k, v))
+        m = n if rows is None else len(rows)
+        q = np.asarray(q, dtype=np.float64).reshape((m,) + self._entry)
         position = self.next_position
-        qn, kn = q, k
-        if self._rotation is not None:
-            qn = apply_rotation_f64(q, self._rotation)
-            kn = apply_rotation_f64(k, self._rotation)
+        kn = k if self._rotation is None else apply_rotation_f64(k, self._rotation)
         keys, values = self._k[layer], self._v[layer]
         keys[:, self._slots] = kn.swapaxes(0, 1)
         values[:, self._slots] = v.swapaxes(0, 1)
@@ -157,7 +173,13 @@ class KvCache:
         if self._to_far is not None and pinned > 0:
             kf = apply_rotation_f64(k[:pinned], self._to_far)
             self._kf[layer, :, position : position + pinned] = kf.swapaxes(0, 1)
-        dist, masked, is_far = self._geometry
+        geometry = (*self._geometry, self._rotation)
+        if rows is not None:
+            if not len(rows):
+                return q.reshape(-1)
+            geometry = [None if a is None else a[rows] for a in geometry]
+        dist, masked, is_far, rotation = geometry
+        qn = q if rotation is None else apply_rotation_f64(q, rotation)
         far = None if is_far is None else (q.swapaxes(0, 1), self._kf[layer], is_far)
         out, _ = _attend_block(
             qn.swapaxes(0, 1), keys[:, :end], values[:, :end], dist, masked,

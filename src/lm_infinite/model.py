@@ -239,6 +239,24 @@ def _check_ids(ids, vocab_size):
     return ids
 
 
+def _check_rows(rows, n):
+    """``rows`` as an int array of strictly increasing indices below ``n``."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0:
+        raise ValueError(f"rows must be a non-empty 1-d index array, got {rows!r}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"rows must be integers, got dtype {rows.dtype}")
+    if (down := np.flatnonzero(rows[1:] <= rows[:-1])).size:
+        i = down[0]
+        raise ValueError(
+            f"rows must be strictly increasing, got {rows[i + 1]} after {rows[i]}"
+        )
+    if rows[0] < 0 or rows[-1] >= n:
+        bad = rows[0] if rows[0] < 0 else rows[-1]
+        raise ValueError(f"row {bad} outside the {n} tokens")
+    return rows
+
+
 def _check_finite(x, message, position):
     """Raise ``message`` and the position of the first non-finite row of
     ``x``, whose rows start at ``position``."""
@@ -256,7 +274,7 @@ class ModelTrace:
     last_distances: list  # the last row's key distances, (n,); clamped in lambda
 
 
-def _forward(model, ids, attn, stash=None, hidden=None, position=0):
+def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None):
     """Embedding -> layers -> final layer norm -> head: the only copy.
 
     ``ids`` is a scalar (one decode token), (seq_len,) or (batch, seq_len).
@@ -268,39 +286,56 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0):
     receives the residual stream after each block. ``position`` is the
     absolute position of the first row, used in NaN messages.
 
-    The pass scans its logits once for a NaN or +-inf. If they hold one, or
-    if ``attn`` raised NanDetectedError, the pass is replayed with a scan of
-    each layer's attention inputs, of its output after attention and after
-    the MLP, and of the logits, in that order. The replay is deterministic,
-    so it raises, naming the first stage and row that went non-finite; it
+    ``rows``, a strictly increasing index array into the rows of a
+    (seq_len,) ``ids``, selects the rows whose logits are returned (None:
+    all). Only the last layer sees it: it computes keys and values for
+    every row and calls ``attn(i, q, k, v, rows)`` with the queries of the
+    selected rows, whose residual stream alone goes on through that
+    layer's MLP, the final norm and the head.
+
+    The pass scans its logits once for a NaN or +-inf; with ``rows`` it
+    also scans the last layer's keys and values, which hold every row. If
+    they hold one, or if ``attn`` raised NanDetectedError, the pass is
+    replayed over all rows with a scan of each layer's attention inputs, of
+    its output after attention and after the MLP, and of the logits, in
+    that order. The replay is deterministic, so it raises, naming the first
+    stage and row that went non-finite, as a pass without ``rows`` does; it
     calls ``attn`` again for every layer it reaches.
     """
     try:
-        logits = _layers(model, ids, attn, stash, hidden)
+        logits = _layers(model, ids, attn, stash, hidden, rows=rows)
         if np.isfinite(logits).all():
             return logits
     except NanDetectedError:
         pass
-    return _layers(model, ids, attn, position=position, scan=True)
+    logits = _layers(model, ids, attn, position=position, scan=True)
+    return logits if rows is None else logits[rows]
 
 
-def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False):
+def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False, rows=None):
     """The pass of ``_forward``; with ``scan``, raise at the first
     non-finite stage."""
     cfg = model.config
     p = model.params
     x = p["embedding"][ids]  # (..., d_model)
-    heads_shape = x.shape[:-1] + (cfg.n_heads, cfg.head_dim)
+    heads = (cfg.n_heads, cfg.head_dim)
     for i in range(cfg.n_layers):
         pre = f"layer{i}"
         h, ln1 = _layer_norm(x, p[f"{pre}/ln1/gamma"], p[f"{pre}/ln1/beta"])
-        q = (h @ p[f"{pre}/attn/wq"]).reshape(heads_shape)
-        k = (h @ p[f"{pre}/attn/wk"]).reshape(heads_shape)
-        v = (h @ p[f"{pre}/attn/wv"]).reshape(heads_shape)
+        k = (h @ p[f"{pre}/attn/wk"]).reshape(h.shape[:-1] + heads)
+        v = (h @ p[f"{pre}/attn/wv"]).reshape(h.shape[:-1] + heads)
+        select = rows is not None and i == cfg.n_layers - 1
+        if select:
+            # A non-finite key or value of a dropped row would go unseen.
+            if not (np.isfinite(k).all() and np.isfinite(v).all()):
+                raise NanDetectedError(f"layer {i}: non-finite key or value")
+            x, h = x[rows], h[rows]
+        q = (h @ p[f"{pre}/attn/wq"]).reshape(h.shape[:-1] + heads)
         try:
             if scan:  # a decode step's (n_heads, head_dim) inputs get a row axis
                 _check_nan(*(t[None] if t.ndim == 2 else t for t in (q, k, v)), position)
-            a = attn(i, q, k, v).reshape(x.shape)
+            a = attn(i, q, k, v, rows) if select else attn(i, q, k, v)
+            a = a.reshape(x.shape)
         except NanDetectedError as exc:
             raise NanDetectedError(f"layer {i}: {exc}") from None
         x = x + a @ p[f"{pre}/attn/wo"]
@@ -597,9 +632,16 @@ class DecodeSession:
             raise ValueError(f"step takes one token id, got shape {ids.shape}")
         return self._feed(ids)
 
-    def prefill(self, tokens) -> np.ndarray:
+    def prefill(self, tokens, rows=None) -> np.ndarray:
         """Consume a token sequence, return its logits (n, vocab): row r
         holds the next-position logits after tokens[r].
+
+        ``rows``, a strictly increasing array of indices into ``tokens``,
+        returns only those rows, (len(rows), vocab). The cache takes every
+        token either way; the last layer runs its queries, attention, MLP,
+        final norm and head only for those rows, and not at all for a chunk
+        without one. A NaN or +-inf that could reach a dropped row is named
+        as without ``rows`` (see ``_forward``).
 
         The tokens go through in chunks of up to ``cache.max_chunk``; a chunk
         that raises leaves the position at its first token, with every
@@ -608,14 +650,25 @@ class DecodeSession:
         ids = _check_ids(tokens, self.model.config.vocab_size)
         if ids.ndim != 1:
             raise ValueError(f"prefill takes one token sequence, got shape {ids.shape}")
+        if rows is not None:
+            rows = _check_rows(rows, ids.size)
         size = self.cache.max_chunk
-        chunks = [ids[s : s + size] for s in range(0, ids.size, size)]
-        return np.concatenate([self._feed(chunk) for chunk in chunks])
+        logits = []
+        for s in range(0, ids.size, size):
+            chunk = ids[s : s + size]
+            if rows is None:
+                logits.append(self._feed(chunk))
+            else:
+                lo, hi = np.searchsorted(rows, (s, s + size))
+                logits.append(self._feed(chunk, rows[lo:hi] - s))
+        return np.concatenate(logits)
 
-    def _feed(self, ids):
+    def _feed(self, ids, rows=None):
         """One chunk (or, for a scalar, one step) through the layer stack."""
         self.cache.begin(ids.size)
-        logits = _forward(self.model, ids, self.cache.attend, position=self.position)
+        logits = _forward(
+            self.model, ids, self.cache.attend, position=self.position, rows=rows
+        )
         self.cache.advance()
         return logits
 

@@ -144,6 +144,29 @@ def test_forged_model_header_exit_one(edits, tensors, message, trained_dir, tmp_
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_generate_with_huge_forged_window_allocates_what_it_uses(trained_dir, tmp_path,
+                                                                  capsys):
+    # A valid header whose window sizes no stream reaches: the cache grows
+    # with the tokens it holds, so generate runs, and with every key pinned
+    # and no distance clamped the lambda mask is the causal one.
+    huge = b"100000000000"
+    edits = {b"n_global=2\n": b"n_global=" + huge + b"\n",
+             b"n_local=8\n": b"n_local=" + huge + b"\n",
+             b"l_pretrain=16\n": b"l_pretrain=" + huge + b"\n"}
+    forged = tmp_path / "huge.lmtm"
+    forged.write_bytes(rewrite_config((trained_dir / "model.lmtm").read_bytes(), edits))
+    args = ["generate", "--model", str(forged), "--prompt", "1 2 3 4", "--n-new", "6"]
+    tokens = {}
+    for mode in ("lambda", "vanilla"):
+        rc = cli.main([*args, "--mode", mode])
+        out = capsys.readouterr()
+        assert rc == 0 and "Traceback" not in out.err, out.err
+        tokens[mode] = [int(t) for t in out.out.split()]
+    assert len(tokens["lambda"]) == 6
+    assert tokens["lambda"] == tokens["vanilla"]
+    assert load_model(forged).config.n_local == int(huge)
+
+
 def test_missing_corpus_file_exit_one_names_path(trained_dir, capsys):
     rc = cli.main(["eval", "--model", str(trained_dir / "model.lmtm"),
                    "--corpus", "/no/such/corpus.txt"])

@@ -180,6 +180,77 @@ def test_nll_curve_matches_full_forward_in_both_modes(encoding):
             assert p.nll == pytest.approx(math.fsum(parts) / len(parts), abs=1e-12, rel=0)
 
 
+def _count_gelu_rows(monkeypatch):
+    """Patch the model's GeLU to count the rows it runs on, per call."""
+    import lm_infinite.model as model_mod
+
+    calls = []
+    real = model_mod._gelu
+
+    def counting(u):
+        calls.append(u.size // u.shape[-1])
+        return real(u)
+
+    monkeypatch.setattr(model_mod, "_gelu", counting)
+    return calls
+
+
+def test_nll_curve_runs_last_mlp_only_on_window_rows(monkeypatch):
+    # 199 fed rows in chunks of 128: layer 0's MLP runs on all of them, the
+    # last layer's only on the window rows, 0..14 and 31..62 in the first
+    # chunk and 167..198 in the second.
+    cfg = tiny_config()
+    model = init(cfg)
+    seq = SyntheticLanguage(vocab_size=31, seed=3).sample(1, 200, seed=4)[0]
+    calls = _count_gelu_rows(monkeypatch)
+    nll_curve(model, [seq], (16, 64, 200))
+    assert cfg.n_layers == 2
+    assert calls == [128, 47, 71, 32]
+
+
+def test_truncation_runs_last_mlp_only_on_the_read_row(monkeypatch):
+    # Each step re-encodes its window through every layer but runs the last
+    # layer's MLP on one row, and picks the token a windowed forward picks.
+    model = init(tiny_config())
+    seq = (np.arange(40) * 5 + 2) % 31
+    import lm_infinite.evaluation as evaluation
+
+    outs = []
+    real_bleu = evaluation.bleu
+    monkeypatch.setattr(evaluation, "bleu", lambda o, ref: (outs.append(o), real_bleu(o, ref))[1])
+    calls = _count_gelu_rows(monkeypatch)
+    truncation_baseline(model, [seq], window_w=8, total_gen=5, prompt_len=6)
+    assert calls == [6, 1, 7, 1, 8, 1, 8, 1, 8, 1]
+    context = [int(t) for t in seq[:6]]
+    for _ in range(5):
+        logits = forward(model, np.asarray(context[-8:]), mode="vanilla_causal")
+        context.append(int(np.argmax(logits[-1])))
+    assert outs == [context[6:]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poison overflows
+def test_nan_at_a_dropped_row_is_named_as_by_full_prefill():
+    # Every token but the one at position 20 has a zero embedding, so only
+    # row 20 overflows, in layer 0's MLP. The window rows 167..198 are in
+    # the second chunk of 128, and the first one has no row to read: only
+    # the last layer's scan of its keys and values sees the row, and the
+    # replay names the stage a full prefill names.
+    from lm_infinite.errors import NanDetectedError
+    from lm_infinite.model import DecodeSession
+
+    model = init(tiny_config())
+    model.params["embedding"][0] = 0.0
+    model.params["layer0/ln2/gamma"] *= 1e3
+    model.params["layer0/mlp/w1"][:] = 1e308
+    seq = np.zeros(200, dtype=np.int64)
+    seq[20] = 7
+    message = "NaN after MLP in layer 0, position 20"
+    with pytest.raises(NanDetectedError, match=message):
+        DecodeSession(model).prefill(seq[:199])
+    with pytest.raises(NanDetectedError, match=message):
+        nll_curve(model, [seq], (200,))
+
+
 # ---------------------------------------------------------------------------
 # continuation_eval
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from lm_infinite.attention import BLOCK, AttentionConfig, attend
 from lm_infinite.encoding import AlibiParams, RopeParams, default_alibi_slopes
 from lm_infinite.errors import CacheStateError
-from lm_infinite.kv_cache import KvCache
+from lm_infinite.kv_cache import _MIN_CAPACITY, KvCache
 from lm_infinite.masking import MaskParams
 
 
@@ -151,10 +151,30 @@ def test_memory_bound_over_long_fuzz():
         store(cache, np.full(8, float(t)), np.full(8, float(t)))
         assert len(cache) <= cap
     assert stored(cache) == [0, 1, 2] + list(range(99_993, 100_000))
-    # Allocated once, never regrown: head-major (layers, heads, slots,
-    # head_dim), with slots for the kept entries plus a prefill chunk's
-    # scratch.
-    assert cache.keys.base.shape == (1, 2, cap + BLOCK - 1, 4)
+    # Head-major (layers, heads, slots, head_dim). Single steps use no
+    # scratch slots, so the cap of 10 fits the first allocation, which is
+    # never regrown.
+    assert cache.keys.base.shape == (1, 2, _MIN_CAPACITY, 4)
+
+
+@pytest.mark.parametrize("n_global", [0, 5, 40])
+def test_lambda_arrays_grow_on_demand_up_to_the_ring_and_one_chunk(n_global):
+    # Full chunks double the arrays from their first allocation and stop at
+    # the ring plus one chunk's scratch; the far keys stop at n_global rows.
+    params = MaskParams(n_global=n_global, n_local=60, l_pretrain=64)
+    cache = make_cache(params, encoding=RopeParams(head_dim=4))
+    bound = n_global + 60 + BLOCK - 1
+    sizes = []
+    for _ in range(6):
+        cache.begin(BLOCK)
+        cache.attend(0, np.zeros(8 * BLOCK), np.ones(8 * BLOCK), np.ones(8 * BLOCK))
+        cache.advance()
+        sizes.append(cache.keys.base.shape[2])
+        assert cache.values.base.shape == cache.keys.base.shape
+    assert sizes[0] == BLOCK and max(sizes) == sizes[-1] == bound
+    assert len(cache) == n_global + 60
+    if n_global:
+        assert cache._kf.shape == (1, 2, n_global, 4)
 
 
 def test_vanilla_cache_grows_and_never_evicts():

@@ -502,6 +502,48 @@ def test_prefill_failing_past_layer0_keeps_session_usable(mode, position):
     np.testing.assert_array_equal(sess.step(3), fresh.step(3))
 
 
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_prefill_rows_equal_full_prefill_rows(monkeypatch, encoding, mode):
+    # Chunks of 8 over 45 tokens: the selections cross chunk boundaries,
+    # leave whole chunks without a row, and reach rows past the clamp
+    # (l_pretrain 7) whose pinned keys are far. The cache takes every row
+    # either way, so the next step matches bit for bit.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = init(tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7))
+    ids = (np.arange(45) * 7 + 1) % 31
+    full_sess = DecodeSession(model, mode)
+    full = full_sess.prefill(ids)
+    after = full_sess.step(4)
+    for rows in ([0], [44], [7, 8], [3, 20, 21, 22, 40], list(range(45)),
+                 np.arange(9, 45, 5, dtype=np.int32)):
+        sess = DecodeSession(model, mode)
+        got = sess.prefill(ids, rows=rows)
+        assert got.shape == (len(rows), 31)
+        np.testing.assert_allclose(got, full[np.asarray(rows)], atol=1e-12, rtol=0,
+                                   err_msg=str(rows))
+        assert sess.position == 45
+        np.testing.assert_array_equal(sess.step(4), after)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "rows must be a non-empty 1-d index array, got array([], dtype=float64)"),
+    ([[1, 2]], "rows must be a non-empty 1-d index array, got array([[1, 2]])"),
+    ([1.0, 2.0], "rows must be integers, got dtype float64"),
+    ([3, 9, 5], "rows must be strictly increasing, got 5 after 9"),
+    ([2, 4, 4], "rows must be strictly increasing, got 4 after 4"),
+    ([-1, 3], "row -1 outside the 12 tokens"),
+    ([3, 12], "row 12 outside the 12 tokens"),
+])
+def test_prefill_rejects_bad_rows(rows, message):
+    sess = DecodeSession(init(tiny_config()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sess.prefill(np.arange(12), rows=rows)
+    assert sess.position == 0
+
+
 @pytest.mark.parametrize("tokens, message", [
     (np.ones((2, 3), dtype=np.int64), "prefill takes one token sequence, got shape (2, 3)"),
     ([], "empty token sequence"),
