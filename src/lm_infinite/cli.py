@@ -134,6 +134,8 @@ def _read_config_file(path: str, options: dict) -> dict:
         key = key.strip().replace("-", "_")
         if key not in options:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}: line {lineno}: repeated key {key!r}")
         try:
             values[key] = options[key].parse(value.strip())
         except ValueError as exc:
@@ -194,6 +196,16 @@ def _load_corpus(path):
     if not Path(path).exists():
         raise OSError(f"corpus file not found: {path}")
     return load_corpus(path)
+
+
+def _check_corpus_ids(path, sequences, vocab_size) -> None:
+    """Name the path and sequence of an id outside the vocabulary, as train does."""
+    for i, seq in enumerate(sequences):
+        if len(seq):  # an empty sequence is skipped and counted, not rejected
+            try:
+                _check_ids(seq, vocab_size)
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}: corpus sequence {i}: {exc}") from None
 
 
 def _cmd_train(cfg) -> int:
@@ -275,6 +287,8 @@ def _cmd_diag(cfg) -> int:
             raise ValueError(f"probe_len must be >= 1, got {cfg['probe_len']}")
         probe = probe[: cfg["probe_len"]]
     probe = np.asarray(probe)
+    if cfg["corpus"]:  # the probe is the corpus's sequence 0
+        _check_corpus_ids(cfg["corpus"], [probe], model.config.vocab_size)
 
     mode = _internal_mode(cfg["mode"])
     report = run_diagnostics(
@@ -298,6 +312,7 @@ def _cmd_eval(cfg) -> int:
     if overrides:
         model = ToyModel(replace(model.config, **overrides), model.params)
     corpus = _load_corpus(cfg["corpus"])
+    _check_corpus_ids(cfg["corpus"], corpus, model.config.vocab_size)
     spec = parse_milestones(cfg["milestones"], model.config.train_len)
     mode = _internal_mode(cfg["mode"])
     modes = ("lambda", "vanilla_causal") if mode == "both" else (mode,)

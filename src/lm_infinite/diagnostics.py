@@ -211,7 +211,7 @@ def run_diagnostics(
 
 def write_entropy_csv(curve: EntropyCurve, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["length", "layer", "head", "entropy"])
         n_layers, n_heads, _ = curve.entropy.shape
         for layer in range(n_layers):
@@ -222,7 +222,7 @@ def write_entropy_csv(curve: EntropyCurve, path) -> None:
 
 def write_logits_csv(profile: LogitProfile, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["bucket_lo", "bucket_hi", "min", "max", "mean", "absmax"])
         for b in profile.buckets:
             w.writerow([b.lo, b.hi, repr(b.min), repr(b.max), repr(b.mean), repr(b.absmax)])
@@ -230,7 +230,7 @@ def write_logits_csv(profile: LogitProfile, path) -> None:
 
 def write_pca_csv(projection: PcaProjection, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["position", "pc1", "pc2"])
         for pos, (c1, c2) in zip(projection.positions, projection.coords):
             w.writerow([int(pos), repr(float(c1)), repr(float(c2))])

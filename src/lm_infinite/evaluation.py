@@ -374,7 +374,7 @@ def write_eval_csv(report: EvalReport, path) -> None:
     import csv
 
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(
             ["milestone", "mode", "nll", "perplexity", "bleu", "rouge",
              "n_sequences", "n_skipped"]

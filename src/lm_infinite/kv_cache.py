@@ -189,20 +189,16 @@ class KvCache:
 
     def advance(self) -> None:
         """End the chunk: every layer has stored it at next_position on. In
-        lambda mode its scratch entries move to their ring slots."""
+        lambda mode its entries past the ring move to their ring slots in one copy."""
         first, scratch, end = self._chunk
         G, W = self._n_global, self._n_local
         n = end - scratch + 1
         if W is not None and end > G + W:
-            # The last entries past the ring hold consecutive positions, so
-            # their ring slots are one run that wraps at most once.
-            src = max(scratch, G + W, end - W)
+            src = np.arange(max(scratch, G + W, end - W), end)
             dst = G + (self._pos[src] - G) % W
-            split = min(end, src + G + W - dst)
-            for s, e, d in ((src, split, dst), (split, end, G)):
-                self._k[:, :, d : d + e - s] = self._k[:, :, s:e]
-                self._v[:, :, d : d + e - s] = self._v[:, :, s:e]
-                self._pos[d : d + e - s] = self._pos[s:e]
+            self._k[:, :, dst] = self._k[:, :, src]
+            self._v[:, :, dst] = self._v[:, :, src]
+            self._pos[dst] = self._pos[src]
             end = G + W
         self._len = max(self._len, end)
         self.next_position += n

@@ -7,7 +7,7 @@ float64 numpy; gradients are hand-written and finite-difference checked.
 The layer stack is written once, in ``_forward``. Encode, tracing,
 training and streaming differ only in the attention they pass it: the
 blocked kernel (keeping its stash for the backward, or reading diagnostics
-off it), or one prefill chunk or decode step against the session's KvCache.
+off it), or one prefill chunk (a decode step is one) on a session's KvCache.
 
 Training always runs ``vanilla_causal`` attention; it equals lambda
 attention only when train_len <= min(n_local, l_pretrain), where the lambda
@@ -277,7 +277,7 @@ class ModelTrace:
 def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None):
     """Embedding -> layers -> final layer norm -> head: the only copy.
 
-    ``ids`` is a scalar (one decode token), (seq_len,) or (batch, seq_len).
+    ``ids`` is (seq_len,) or (batch, seq_len); a decode step is seq_len 1.
     ``attn(i, q, k, v)`` is layer i's attention; it gets (..., n_heads,
     head_dim) projections and returns values shaped like q. It is the only
     part that differs between encode, tracing, training and decode.
@@ -332,8 +332,8 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False, r
             x, h = x[rows], h[rows]
         q = (h @ p[f"{pre}/attn/wq"]).reshape(h.shape[:-1] + heads)
         try:
-            if scan:  # a decode step's (n_heads, head_dim) inputs get a row axis
-                _check_nan(*(t[None] if t.ndim == 2 else t for t in (q, k, v)), position)
+            if scan:
+                _check_nan(q, k, v, position)
             a = attn(i, q, k, v, rows) if select else attn(i, q, k, v)
             a = a.reshape(x.shape)
         except NanDetectedError as exc:
@@ -603,8 +603,8 @@ class DecodeSession:
     """Streaming decoding state for one sequence.
 
     prefill() runs the model's one layer stack (``_forward``) over chunks
-    of up to ``attention.BLOCK`` tokens, and step() over a single token,
-    the C = 1 case. Only the attention differs from a full forward: the
+    of up to ``attention.BLOCK`` tokens; step() is a one-token prefill, the
+    C = 1 case. Only the attention differs from a full forward: the
     session's one KvCache, which holds every layer's keys and values at one
     shared position. The cache is bounded to the pinned prefix plus the
     window in lambda mode, so a lambda prefill runs in memory bounded
@@ -622,15 +622,14 @@ class DecodeSession:
         return self.cache.next_position
 
     def step(self, token: int) -> np.ndarray:
-        """Consume one token, return next-position logits (vocab,).
+        """A one-token prefill: consume ``token``, return its logits (vocab,).
 
         The position moves only once every layer has attended, so a step
         that raised part-way can be retried or followed by another token.
         """
-        ids = _check_ids(token, self.model.config.vocab_size)
-        if ids.ndim:
-            raise ValueError(f"step takes one token id, got shape {ids.shape}")
-        return self._feed(ids)
+        if np.ndim(token):
+            raise ValueError(f"step takes one token id, got shape {np.shape(token)}")
+        return self.prefill([token])[0]
 
     def prefill(self, tokens, rows=None) -> np.ndarray:
         """Consume a token sequence, return its logits (n, vocab): row r
@@ -655,22 +654,16 @@ class DecodeSession:
         size = self.cache.max_chunk
         logits = []
         for s in range(0, ids.size, size):
-            chunk = ids[s : s + size]
-            if rows is None:
-                logits.append(self._feed(chunk))
-            else:
+            chunk, picked = ids[s : s + size], None
+            if rows is not None:
                 lo, hi = np.searchsorted(rows, (s, s + size))
-                logits.append(self._feed(chunk, rows[lo:hi] - s))
+                picked = rows[lo:hi] - s
+            self.cache.begin(chunk.size)
+            logits.append(_forward(
+                self.model, chunk, self.cache.attend, position=self.position, rows=picked
+            ))
+            self.cache.advance()
         return np.concatenate(logits)
-
-    def _feed(self, ids, rows=None):
-        """One chunk (or, for a scalar, one step) through the layer stack."""
-        self.cache.begin(ids.size)
-        logits = _forward(
-            self.model, ids, self.cache.attend, position=self.position, rows=rows
-        )
-        self.cache.advance()
-        return logits
 
 
 def generate(

@@ -84,8 +84,3 @@ class SplitMix64:
             raise ValueError("empty integer range")
         bits = self.next_u64(n) >> np.uint64(11)
         return (low + (bits % np.uint64(span)).astype(np.int64)).astype(np.int64)
-
-    def choice_prob(self, n: int) -> np.ndarray:
-        """Uniform doubles in [0, 1) for probability thresholding."""
-        bits = self.next_u64(n) >> np.uint64(11)
-        return bits.astype(np.float64) * _U53

@@ -10,6 +10,7 @@ import pytest
 from conftest import rewrite_config
 
 from lm_infinite import cli
+from lm_infinite.corpus import save_corpus
 from lm_infinite.errors import NanDetectedError
 from lm_infinite.masking import MaskParams, build_mask
 from lm_infinite.model import load_model, save_model
@@ -175,8 +176,6 @@ def test_missing_corpus_file_exit_one_names_path(trained_dir, capsys):
 
 
 def test_truncated_corpus_exit_one_names_path(trained_dir, tmp_path, capsys):
-    from lm_infinite.corpus import save_corpus
-
     cut = tmp_path / "cut.lmts"
     save_corpus([np.arange(10, dtype=np.uint32)], cut, binary=True)
     cut.write_bytes(cut.read_bytes()[:6])  # inside the version field
@@ -200,6 +199,7 @@ def test_bad_config_key_exit_one(tmp_path, capsys):
     ("mask", "n_global=1\nformat=grid\n", 2),
     ("train", "# steps below\n\nsteps=abc\n", 3),
     ("train", "steps=2\n\xff\n", 2),
+    ("train", "steps=1\n# again\nsteps=2\n", 3),
 ])
 def test_bad_config_value_names_path_and_line(sub, text, line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -586,6 +586,16 @@ def test_diag_rejects_nonpositive_probe_len(probe_len, trained_dir, tmp_path, ca
     assert "probe_len" in capsys.readouterr().err
 
 
+def test_diag_names_corpus_path_and_sequence_of_bad_id(trained_dir, tmp_path, capsys):
+    corpus = tmp_path / "probe.txt"
+    corpus.write_text("1 2 400 3\n")
+    rc = cli.main(["diag", "--model", str(trained_dir / "model.lmtm"),
+                   "--corpus", str(corpus), "--out", str(tmp_path / "d")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{corpus}: corpus sequence 0: token id 400 outside vocabulary of size 31" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -616,6 +626,24 @@ def test_eval_both_modes_with_mask_override(trained_dir, tmp_path):
     assert len(rows) == 5  # header + 2 milestones x 2 modes
     eff = (out / "effective_config.txt").read_text()
     assert "n_local=4" in eff
+
+
+def test_eval_names_corpus_path_and_sequence_of_bad_id(trained_dir, tmp_path, capsys):
+    good = np.arange(48, dtype=np.uint32) % 31
+    corpus = tmp_path / "corpus.lmts"
+    args = ["eval", "--model", str(trained_dir / "model.lmtm"), "--corpus",
+            str(corpus), "--milestones", "16", "--skip-continuation",
+            "--mode", "lambda", "--out", str(tmp_path / "e")]
+    # An empty sequence is still skipped and counted, not rejected.
+    save_corpus([good, good[:0]], corpus, binary=True)
+    assert cli.main(args) == 0
+    assert "(n=1, skipped=1)" in capsys.readouterr().out
+    bad = good.copy()
+    bad[3] = 400
+    save_corpus([good, good[:0], bad], corpus, binary=True)
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus}: corpus sequence 2: token id 400 outside vocabulary of size 31" in err
 
 
 def test_eval_unreachable_milestone_exit_one(trained_dir, tmp_path, capsys):
@@ -667,6 +695,27 @@ def test_bench_out_writes_the_printed_row(trained_dir, tmp_path, capsys):
     assert (mode, seq_len, repeats) == ("lambda", "24", "3")
     eff = (out / "effective_config.txt").read_text().splitlines()
     assert "mode=lambda" in eff and "seq_len=24" in eff and "out=" + str(out) in eff
+
+
+def test_written_text_files_end_lines_with_newline_only(trained_dir, tmp_path):
+    model, corpus = str(trained_dir / "model.lmtm"), str(trained_dir / "corpus.txt")
+    runs = [
+        ["diag", "--model", model, "--corpus", corpus, "--probe-len", "32"],
+        ["eval", "--model", model, "--corpus", corpus, "--milestones", "16",
+         "--gen-len", "4"],
+        ["bench", "--model", model, "--seq-len", "24", "--repeats", "3",
+         "--decode-tokens", "2"],
+    ]
+    for i, argv in enumerate(runs):
+        assert cli.main([*argv, "--out", str(tmp_path / str(i))]) == 0
+    written = [p for p in (*trained_dir.iterdir(), *tmp_path.rglob("*"))
+               if p.suffix in (".csv", ".txt")]
+    assert {p.name for p in written} >= {
+        "loss.csv", "corpus.txt", "effective_config.txt", "entropy.csv",
+        "logits.csv", "pca.csv", "eval.csv", "bench.csv",
+    }
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,11 @@ def test_sampling_matches_pinned_digest():
     )
 
 
+def probs(stream, n):
+    """n uniform doubles in [0, 1): 53-bit draws scaled by 2**-53."""
+    return (stream.next_u64(n) >> np.uint64(11)).astype(np.float64) / (1 << 53)
+
+
 def scalar_sample(lang, n_sequences, seq_len, seed):
     """The sampler as scalar draws from the stream, one call per draw."""
     motifs = lang.motifs()
@@ -177,7 +182,7 @@ def scalar_sample(lang, n_sequences, seq_len, seed):
         chunks = []
         for _ in range(seq_len // lang.motif_len + 2):
             chunks.append(motifs[current])
-            if float(stream.choice_prob(1)[0]) < lang.p_stay:
+            if float(probs(stream, 1)[0]) < lang.p_stay:
                 current = (current + 1) % lang.n_motifs
             else:
                 jump = int(stream.integers(0, lang.n_motifs - 1, 1)[0])
@@ -185,7 +190,7 @@ def scalar_sample(lang, n_sequences, seq_len, seed):
                 current = jump if jump != successor else lang.n_motifs - 1
         clean = np.concatenate(chunks)[:seq_len]
         if lang.noise > 0.0:
-            hit = stream.choice_prob(seq_len) < lang.noise
+            hit = probs(stream, seq_len) < lang.noise
             clean = np.where(hit, stream.integers(0, lang.vocab_size, seq_len), clean)
         out.append(clean.astype(np.uint32))
     return out
