@@ -23,9 +23,8 @@ model = init(config)
 print("encode (full forward) and decode (per token), median of 3:")
 print("mode             seq_len   encode_s   decode_ms/tok   cache")
 for mode in ("lambda", "vanilla_causal"):
-    for seq_len in (256, 1024):
-        r = bench(model, seq_len, mode=mode, repeats=3, decode_tokens=8)
-        print(f"{mode:15s}  {seq_len:6d}   {r.encode_seconds:8.4f}"
+    for r in bench(model, (256, 1024), mode=mode, repeats=3, decode_tokens=8):
+        print(f"{mode:15s}  {r.seq_len:6d}   {r.encode_seconds:8.4f}"
               f"   {1e3 * r.decode_seconds_per_token:10.3f}"
               f"   {r.peak_cache_entries:5d}")
 

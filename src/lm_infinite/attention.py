@@ -87,9 +87,9 @@ class AttentionConfig:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Row softmax, in place; masked entries are -inf and get weight 0."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -159,19 +159,16 @@ def _logits(qn, kn, dist, config, far=None):
     holds the raw queries, the pinned rows' far keys and ``_geometry``'s
     far mask, whose columns take <qf, kf>.
     """
-    scale = 1.0 / math.sqrt(config.head_dim)
-    z = qn @ np.swapaxes(kn, -1, -2)
-    z *= scale
+    z = qn @ kn.swapaxes(-1, -2)
+    if far is not None:  # scaled with the other columns below
+        qf, kf, is_far = far
+        g = is_far.shape[-1]
+        np.copyto(z[..., :g], qf @ kf[..., :g, :].swapaxes(-1, -2), where=is_far)
+    z *= 1.0 / math.sqrt(config.head_dim)
     if not config.is_rope:
         # Per head, so that no (H, rows, keys) temporary sits next to z.
         for h, slope in enumerate(config.encoding.slopes):
             z[..., h, :, :] -= slope * dist
-        return z
-    if far is not None:
-        qf, kf, is_far = far
-        kf = kf[..., : is_far.shape[-1], :]
-        zf = (qf @ np.swapaxes(kf, -1, -2)) * scale
-        np.copyto(z[..., : kf.shape[-2]], zf, where=is_far)
     return z
 
 

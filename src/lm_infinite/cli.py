@@ -338,22 +338,29 @@ def _cmd_bench(cfg) -> int:
     else:
         model = init(ToyModelConfig(seed=cfg["seed"]))
     mode = _internal_mode(cfg["mode"])
-    res = bench(model, cfg["seq_len"], mode=mode, repeats=cfg["repeats"],
-                decode_tokens=cfg["decode_tokens"])
-    line = (f"mode={res.mode} seq_len={res.seq_len} "
-            f"encode_s={res.encode_seconds:.4f} "
-            f"decode_s_per_token={res.decode_seconds_per_token:.6f} "
-            f"peak_cache_entries={res.peak_cache_entries}")
-    print(line)
+    try:
+        seq_lens = [int(n) for n in cfg["seq_len"].split(",")]
+    except ValueError:
+        raise ValueError(
+            f"seq_len takes comma-separated integers, got {cfg['seq_len']!r}"
+        ) from None
+    results = bench(model, seq_lens, mode=mode, repeats=cfg["repeats"],
+                    decode_tokens=cfg["decode_tokens"])
+    for res in results:
+        print(f"mode={res.mode} seq_len={res.seq_len} "
+              f"encode_s={res.encode_seconds:.4f} "
+              f"decode_s_per_token={res.decode_seconds_per_token:.6f} "
+              f"peak_cache_entries={res.peak_cache_entries}")
     if cfg["out"]:
         out = Path(cfg["out"])
         _write_effective_config(cfg, out)
         with open(out / "bench.csv", "w", encoding="utf-8") as fh:
             fh.write("mode,seq_len,encode_seconds,decode_seconds_per_token,"
                      "peak_cache_entries,repeats\n")
-            fh.write(f"{res.mode},{res.seq_len},{res.encode_seconds!r},"
-                     f"{res.decode_seconds_per_token!r},{res.peak_cache_entries},"
-                     f"{res.repeats}\n")
+            for res in results:
+                fh.write(f"{res.mode},{res.seq_len},{res.encode_seconds!r},"
+                         f"{res.decode_seconds_per_token!r},{res.peak_cache_entries},"
+                         f"{res.repeats}\n")
     return 0
 
 
@@ -414,7 +421,8 @@ _SUBCOMMANDS = {
     "bench": _Subcommand("encode/decode wall-clock timings", _cmd_bench, _options(
         _MODEL["seed"],
         Option("model", help="checkpoint; a fresh default model if omitted"),
-        Option("seq_len", int, 512),
+        Option("seq_len", default="512",
+               help='one or more lengths, timed in turns: e.g. "512,2048"'),
         _MODE,
         Option("repeats", int, 5),
         Option("decode_tokens", int, 32),

@@ -74,8 +74,8 @@ def rope_factor(positions, params: RopeParams) -> np.ndarray:
     """The rotation factor e^{i p omega_a} of each position p and pair a,
     complex128 shaped positions.shape + (head_dim//2,), ready for
     apply_rotation_f64."""
-    angles = np.asarray(positions, dtype=np.float64)[..., None] * params.omegas()
-    return np.cos(angles) + 1j * np.sin(angles)
+    angles = np.multiply.outer(positions, params.omegas())
+    return np.exp(1j * angles)
 
 
 def apply_rotation_f64(x: np.ndarray, factor: np.ndarray) -> np.ndarray:

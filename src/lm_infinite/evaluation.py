@@ -306,42 +306,55 @@ class BenchResult:
     repeats: int
 
 
-def bench(model, seq_len: int, mode: str = "lambda", repeats: int = 5,
-          decode_tokens: int = 32) -> BenchResult:
-    """Median-of-repeats encode (full forward) and per-token decode timings."""
+def bench(model, seq_lens, mode: str = "lambda", repeats: int = 5,
+          decode_tokens: int = 32) -> list:
+    """Median-of-repeats encode (full forward) and per-token decode timings,
+    one BenchResult per length in ``seq_lens``.
+
+    Each length's encode repeats run back to back, the lengths in order.
+    Then one session per length is prefilled, untimed, and the lengths take
+    turns: each of ``repeats`` rounds times one window of ``decode_tokens``
+    steps per length, so a slow stretch of a shared machine falls on every
+    length, not on one.
+    """
+    seq_lens = tuple(seq_lens)
     if repeats < 3:
         raise ValueError("repeats must be >= 3 for a meaningful median")
-    if seq_len < 2:
-        raise ValueError("seq_len must be >= 2")
+    if not seq_lens or min(seq_lens) < 2:
+        raise ValueError(f"each seq_len must be >= 2, got {seq_lens}")
     if decode_tokens < 1:
         raise ValueError(f"decode_tokens must be >= 1, got {decode_tokens}")
-    cfg = model.config
-    stream = np.arange(seq_len + decode_tokens) % cfg.vocab_size
+    streams = [np.arange(n + decode_tokens) % model.config.vocab_size for n in seq_lens]
 
-    encode_times = []
+    encode_times = [[] for _ in seq_lens]
+    for n, stream, times in zip(seq_lens, streams, encode_times):
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            forward(model, stream[:n], mode=mode)
+            times.append(time.perf_counter() - t0)
+
+    sessions = [DecodeSession(model, mode) for _ in seq_lens]
+    for n, stream, session in zip(seq_lens, streams, sessions):
+        session.prefill(stream[:n])
+    decode_times = [[] for _ in seq_lens]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        forward(model, stream[:seq_len], mode=mode)
-        encode_times.append(time.perf_counter() - t0)
+        for n, stream, session, times in zip(seq_lens, streams, sessions, decode_times):
+            t0 = time.perf_counter()
+            for t in stream[n:]:
+                session.step(int(t))
+            times.append((time.perf_counter() - t0) / decode_tokens)
 
-    # One prefill (untimed), then timed batches of steps at ~seq_len context.
-    session = DecodeSession(model, mode)
-    session.prefill(stream[:seq_len])
-    decode_times = []
-    for r in range(repeats):
-        t0 = time.perf_counter()
-        for t in stream[seq_len : seq_len + decode_tokens]:
-            session.step(int(t))
-        decode_times.append((time.perf_counter() - t0) / decode_tokens)
-
-    return BenchResult(
-        mode=mode,
-        seq_len=seq_len,
-        encode_seconds=float(np.median(encode_times)),
-        decode_seconds_per_token=float(np.median(decode_times)),
-        peak_cache_entries=len(session.cache),
-        repeats=repeats,
-    )
+    return [
+        BenchResult(
+            mode=mode,
+            seq_len=n,
+            encode_seconds=float(np.median(enc)),
+            decode_seconds_per_token=float(np.median(dec)),
+            peak_cache_entries=len(session.cache),
+            repeats=repeats,
+        )
+        for n, enc, dec, session in zip(seq_lens, encode_times, decode_times, sessions)
+    ]
 
 
 # ---------------------------------------------------------------------------

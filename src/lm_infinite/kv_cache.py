@@ -128,8 +128,6 @@ class KvCache:
         if self._to_far is not None and pinned > self._kf.shape[2]:
             size = min(G, max(2 * self._kf.shape[2], _MIN_CAPACITY, pinned))
             self._kf = _grown(self._kf, size, 2)
-        self._pos[first] = p
-        self._pos[scratch:end] = np.arange(p + 1, p + n)
         self._chunk = (first, scratch, end)
         # The chunk's slots in row order: one run, unless its first row went
         # to a ring slot and the others to scratch.
@@ -139,50 +137,52 @@ class KvCache:
             self._slots = np.arange(scratch - 1, end)
             self._slots[0] = first
         rows = np.arange(p, p + n)
-        self._geometry = _geometry(rows, self._pos[:end], self.config)
-        self._rotation = None
-        if self.config.is_rope:
-            self._rotation = rope_factor(rows, self.config.encoding)[:, None]  # over heads
+        self._pos[self._slots] = rows
+        rotation = None
+        if self.config.is_rope:  # one row per head, so no rotation broadcasts
+            rotation = rope_factor(rows, self.config.encoding)[:, None]
+            rotation = rotation.repeat(self.config.n_heads, axis=1)
+        self._geometry = (*_geometry(rows, self._pos[:end], self.config), rotation)
 
     def attend(self, layer: int, q, k, v, rows=None) -> np.ndarray:
         """Layer ``layer``'s part of the chunk begun by begin(): store the
         keys (a RoPE key rotated to its own position) and values of all C
         chunk rows, then attend for the chunk rows ``rows``, a strictly
-        increasing index array (None: all C). k and v hold C * n_heads *
-        head_dim values, q and the flat result len(rows) * n_heads *
-        head_dim; the result matches the corresponding attend() rows to
-        numerical precision. The geometry and rotation factor of begin()
-        are indexed by ``rows``; with no rows the call ends once the chunk
-        is stored. The inputs are not checked: the model's layer stack
-        checks its output once per chunk."""
+        increasing index array (None: all C). k and v are float64 arrays of
+        C * n_heads * head_dim values, q and the flat result of len(rows) *
+        n_heads * head_dim; the result matches the corresponding attend()
+        rows to numerical precision. The geometry and rotation factor of
+        begin() are indexed by ``rows``; with no rows the call ends once the
+        chunk is stored. The input values are not checked: the model's
+        layer stack checks its output once per chunk."""
         if self._chunk is None:
             raise CacheStateError("attend() outside a step: call begin() first")
         if not 0 <= layer < len(self._k):
             raise ValueError(f"layer {layer} is outside [0, {len(self._k)})")
         first, scratch, end = self._chunk
         n = end - scratch + 1
-        k, v = (np.asarray(x, dtype=np.float64).reshape((n,) + self._entry) for x in (k, v))
-        m = n if rows is None else len(rows)
-        q = np.asarray(q, dtype=np.float64).reshape((m,) + self._entry)
+        k, v = k.reshape((n,) + self._entry), v.reshape((n,) + self._entry)
+        q = q.reshape((n if rows is None else len(rows),) + self._entry)
         position = self.next_position
-        kn = k if self._rotation is None else apply_rotation_f64(k, self._rotation)
-        keys, values = self._k[layer], self._v[layer]
+        dist, masked, is_far, rotation = self._geometry
+        kn = k if rotation is None else apply_rotation_f64(k, rotation)
+        keys, values = self._k[layer, :, :end], self._v[layer, :, :end]
         keys[:, self._slots] = kn.swapaxes(0, 1)
         values[:, self._slots] = v.swapaxes(0, 1)
         pinned = min(self._n_global - position, len(k))  # chunk rows < n_global
         if self._to_far is not None and pinned > 0:
             kf = apply_rotation_f64(k[:pinned], self._to_far)
             self._kf[layer, :, position : position + pinned] = kf.swapaxes(0, 1)
-        geometry = (*self._geometry, self._rotation)
         if rows is not None:
             if not len(rows):
                 return q.reshape(-1)
-            geometry = [None if a is None else a[rows] for a in geometry]
-        dist, masked, is_far, rotation = geometry
+            dist, masked, is_far, rotation = (
+                None if a is None else a[rows] for a in self._geometry
+            )
         qn = q if rotation is None else apply_rotation_f64(q, rotation)
         far = None if is_far is None else (q.swapaxes(0, 1), self._kf[layer], is_far)
         out, _ = _attend_block(
-            qn.swapaxes(0, 1), keys[:, :end], values[:, :end], dist, masked,
+            qn.swapaxes(0, 1), keys, values, dist, masked,
             self.config, far,
         )
         return out.swapaxes(0, 1).reshape(-1)

@@ -179,14 +179,16 @@ def init(config: ToyModelConfig) -> ToyModel:
 
 
 def _layer_norm(x, gamma, beta):
-    # sum / n is what np.mean computes, without its Python-level wrapper.
-    n = x.shape[-1]
-    xhat = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
+    # sum / n is what np.mean computes, without its Python-level wrappers. A
+    # float n spares numpy an int-to-float conversion in each division, and
+    # gamma and beta as (1, d) rows spare a one-row x a broadcast.
+    n = float(x.shape[-1])
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    y = gamma * xhat
-    y += beta
+    y = gamma[None] * xhat
+    y += beta[None]
     return y, (xhat, inv, gamma)
 
 
@@ -231,10 +233,11 @@ def _check_ids(ids, vocab_size):
     ids = np.asarray(ids)
     if ids.size == 0:
         raise ValueError("empty token sequence")
-    if not np.issubdtype(ids.dtype, np.integer):
+    if not issubclass(ids.dtype.type, np.integer):
         raise ValueError(f"token ids must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        bad = ids.min() if ids.min() < 0 else ids.max()
+    lo, hi = np.minimum.reduce(ids, axis=None), np.maximum.reduce(ids, axis=None)
+    if lo < 0 or hi >= vocab_size:
+        bad = lo if lo < 0 else hi
         raise ValueError(f"token id {bad} outside vocabulary of size {vocab_size}")
     return ids
 
@@ -342,9 +345,10 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False, r
         if scan:
             _check_finite(x, f"NaN after attention in layer {i}, position", position)
         h2, ln2 = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
-        u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"]
+        # The biases as (1, d) rows, as in _layer_norm.
+        u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"][None]
         g, cdf = _gelu(u)
-        x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"])
+        x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"][None])
         if scan:
             _check_finite(x, f"NaN after MLP in layer {i}, position", position)
         if stash is not None:
@@ -627,9 +631,10 @@ class DecodeSession:
         The position moves only once every layer has attended, so a step
         that raised part-way can be retried or followed by another token.
         """
-        if np.ndim(token):
-            raise ValueError(f"step takes one token id, got shape {np.shape(token)}")
-        return self.prefill([token])[0]
+        token = np.asarray(token)
+        if token.ndim:
+            raise ValueError(f"step takes one token id, got shape {token.shape}")
+        return self.prefill(token[None])[0]
 
     def prefill(self, tokens, rows=None) -> np.ndarray:
         """Consume a token sequence, return its logits (n, vocab): row r
@@ -663,7 +668,7 @@ class DecodeSession:
                 self.model, chunk, self.cache.attend, position=self.position, rows=picked
             ))
             self.cache.advance()
-        return np.concatenate(logits)
+        return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
 def generate(

@@ -247,10 +247,11 @@ def test_criterion_07_complexity():
                          train_len=128, n_global=16, n_local=128,
                          l_pretrain=128, seed=77)
     model = init(cfg)
-    lam_512 = bench(model, 512, mode="lambda", repeats=3, decode_tokens=16)
-    lam_2048 = bench(model, 2048, mode="lambda", repeats=3, decode_tokens=16)
-    van_512 = bench(model, 512, mode="vanilla_causal", repeats=3, decode_tokens=8)
-    van_2048 = bench(model, 2048, mode="vanilla_causal", repeats=3, decode_tokens=8)
+    # One call per mode: its decode windows at the two lengths take turns.
+    lam_512, lam_2048 = bench(model, (512, 2048), mode="lambda", repeats=3,
+                              decode_tokens=16)
+    van_512, van_2048 = bench(model, (512, 2048), mode="vanilla_causal", repeats=3,
+                              decode_tokens=8)
 
     decode_ratio = lam_2048.decode_seconds_per_token / lam_512.decode_seconds_per_token
     van_encode_ratio = van_2048.encode_seconds / van_512.encode_seconds

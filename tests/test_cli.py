@@ -697,6 +697,27 @@ def test_bench_out_writes_the_printed_row(trained_dir, tmp_path, capsys):
     assert "mode=lambda" in eff and "seq_len=24" in eff and "out=" + str(out) in eff
 
 
+def test_bench_writes_one_row_per_length(trained_dir, tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc = cli.main(["bench", "--model", str(trained_dir / "model.lmtm"),
+                   "--seq-len", "24,16", "--repeats", "3", "--decode-tokens", "2",
+                   "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in printed] == ["seq_len=24", "seq_len=16"]
+    header, *rows = (out / "bench.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows] == [["lambda", "24"], ["lambda", "16"]]
+    assert "seq_len=24,16" in (out / "effective_config.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("text", ["24,x", "24,", "1"])
+def test_bench_bad_seq_len_exits_one(text, capsys):
+    rc = cli.main(["bench", "--seq-len", text, "--repeats", "3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seq_len" in err and "Traceback" not in err
+
+
 def test_written_text_files_end_lines_with_newline_only(trained_dir, tmp_path):
     model, corpus = str(trained_dir / "model.lmtm"), str(trained_dir / "corpus.txt")
     runs = [

@@ -22,7 +22,7 @@ from lm_infinite.evaluation import (
     vanilla_op_count,
     write_eval_csv,
 )
-from lm_infinite.model import forward, init, train
+from lm_infinite.model import DecodeSession, forward, init, train
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +336,52 @@ def test_truncation_full_window_equals_vanilla_count():
 def test_bench_contract():
     model = init(tiny_config())
     with pytest.raises(ValueError):
-        bench(model, 32, repeats=2)
-    res = bench(model, 48, mode="lambda", repeats=3, decode_tokens=4)
-    assert isinstance(res, BenchResult)
-    assert res.encode_seconds > 0 and res.decode_seconds_per_token > 0
-    assert res.peak_cache_entries <= model.config.n_global + model.config.n_local
+        bench(model, (32,), repeats=2)
+    results = bench(model, (48, 20), mode="lambda", repeats=3, decode_tokens=4)
+    assert [res.seq_len for res in results] == [48, 20]
+    for res in results:
+        assert isinstance(res, BenchResult)
+        assert res.encode_seconds > 0 and res.decode_seconds_per_token > 0
+        assert res.peak_cache_entries <= model.config.n_global + model.config.n_local
+        assert (res.mode, res.repeats) == ("lambda", 3)
+
+
+@pytest.mark.parametrize("seq_lens", [(), (32, 1)])
+def test_bench_rejects_a_length_under_two(seq_lens):
+    with pytest.raises(ValueError, match="seq_len must be >= 2"):
+        bench(init(tiny_config()), seq_lens, repeats=3)
 
 
 @pytest.mark.parametrize("decode_tokens", [0, -2])
 def test_bench_rejects_no_decode_tokens(decode_tokens):
     model = init(tiny_config())
     with pytest.raises(ValueError, match="decode_tokens"):
-        bench(model, 32, repeats=3, decode_tokens=decode_tokens)
+        bench(model, (32,), repeats=3, decode_tokens=decode_tokens)
+
+
+def test_bench_encodes_each_length_in_turn_then_alternates_decode_windows(monkeypatch):
+    # Encode: each length's repeats back to back, lengths in order. Decode:
+    # one untimed prefill per length, then rounds of one window per length.
+    import lm_infinite.evaluation as evaluation
+
+    calls = []
+    real_forward, real_step = evaluation.forward, DecodeSession.step
+
+    def forward(model, tokens, mode="lambda"):
+        calls.append(("encode", len(tokens)))
+        return real_forward(model, tokens, mode=mode)
+
+    def step(self, token):
+        calls.append(("step", self.position))
+        return real_step(self, token)
+
+    monkeypatch.setattr(evaluation, "forward", forward)
+    monkeypatch.setattr(DecodeSession, "step", step)
+    bench(init(tiny_config()), (40, 24), repeats=3, decode_tokens=2)
+    assert calls[:6] == [("encode", 40)] * 3 + [("encode", 24)] * 3
+    windows = [calls[i][1] for i in range(6, len(calls), 2)]
+    assert calls[6:] == [("step", p + k) for p in windows for k in range(2)]
+    assert windows == [40, 24, 42, 26, 44, 28]
 
 
 # ---------------------------------------------------------------------------

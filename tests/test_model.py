@@ -577,6 +577,51 @@ def test_step_takes_numpy_and_python_ints():
     np.testing.assert_array_equal(by_int.step(5), by_numpy.step(np.uint32(5)))
 
 
+# The exact message of every token-id check, for each entry point: step
+# takes one id, the others a sequence.
+_BAD_IDS = {
+    "bool": (True, [True, False], "token ids must be integers, got dtype bool"),
+    "float": (1.0, [1.0, 2.0], "token ids must be integers, got dtype float64"),
+    "negative": (-2, [3, -2, 4], "token id -2 outside vocabulary of size 31"),
+    "too_big": (31, [3, 31, 4], "token id 31 outside vocabulary of size 31"),
+    "both_ends": (None, [40, 3, -2], "token id -2 outside vocabulary of size 31"),
+    "two_d": ([[1, 2], [3, 4]], [[1, 2], [3, 4]], {
+        "step": "step takes one token id, got shape (2, 2)",
+        "prefill": "prefill takes one token sequence, got shape (2, 2)",
+        "generate": "prompt must be one-dimensional, got shape (2, 2)",
+        "forward": "tokens must be one-dimensional, got shape (2, 2)",
+    }),
+    "empty": ([], [], {
+        "step": "step takes one token id, got shape (0,)",
+        "prefill": "empty token sequence",
+        "generate": "empty token sequence",
+        "forward": "empty token sequence",
+    }),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad)
+    for entry in ("step", "prefill", "generate", "forward")
+    for bad, (one, _, _) in _BAD_IDS.items()
+    if entry != "step" or one is not None  # one id has no two ends
+])
+def test_token_id_checks_keep_their_messages(entry, bad):
+    one, sequence, message = _BAD_IDS[bad]
+    model = init(tiny_config())
+    session = DecodeSession(model)
+    call = {
+        "step": lambda: session.step(one),
+        "prefill": lambda: session.prefill(sequence),
+        "generate": lambda: generate(model, sequence, 2),
+        "forward": lambda: forward(model, sequence),
+    }[entry]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == (message[entry] if isinstance(message, dict) else message)
+    assert session.position == 0
+
+
 def test_lambda_session_cache_is_bounded():
     cfg = tiny_config()
     model = init(cfg)
@@ -849,6 +894,40 @@ def test_decode_step_computes_rope_factor_once(monkeypatch, n_layers):
     for t in range(24):
         sess.step(t % 31)
     assert positions == list(range(24))
+
+
+@pytest.mark.parametrize("n_layers", [2, 4])
+def test_each_chunk_builds_one_geometry_and_rotation_for_all_layers(monkeypatch, n_layers):
+    # A step, and each chunk of a longer prefill, works out its distances,
+    # masks and RoPE factor once for every layer, and runs one layer norm
+    # before each of a layer's two blocks and one before the head.
+    import lm_infinite.kv_cache as kv_cache
+    import lm_infinite.model as model_module
+
+    events = []
+    for module, name in (
+        (kv_cache, "_geometry"), (kv_cache, "rope_factor"), (model_module, "_layer_norm")
+    ):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            events.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def chunks():
+        size = 2 + 2 * n_layers + 1
+        assert len(events) % size == 0, events
+        return [events[i : i + size] for i in range(0, len(events), size)]
+
+    sess = DecodeSession(init(tiny_config(n_layers=n_layers)), "lambda")
+    sess.prefill(np.arange(40) % 31)  # past the clamp: far keys in play
+    events.clear()
+    sess.step(3)
+    sess.prefill(np.arange(300) % 31)  # chunks of 128, 128 and 44 tokens
+    assert len(chunks()) == 4
+    for chunk in chunks():
+        assert sorted(chunk[:2]) == ["_geometry", "rope_factor"]
+        assert chunk[2:] == ["_layer_norm"] * (2 * n_layers + 1)
 
 
 def test_decode_step_rotation_work_is_independent_of_pinned_prefix(monkeypatch):
