@@ -92,13 +92,16 @@ def _log_softmax(rows):
 
 
 def nll_curve(model, corpus, milestones, mode: str = "lambda"):
-    """Per-milestone NLL in a trailing window, one streamed pass per sequence.
+    """Per-milestone NLL in a trailing window, one prefill per sequence.
 
     Each sequence is run once, up to its largest qualifying milestone,
     through one ``prefill`` of a fresh DecodeSession that returns only the
-    rows inside the milestone windows: the cache takes every token, one
-    chunk at a time, but the last layer and the head run only for those
-    rows, so a lambda curve runs in memory bounded whatever the length.
+    rows inside the milestone windows: the last layer and the head run only
+    for those rows, so a lambda curve runs in memory bounded whatever the
+    length. In lambda mode the prefill also skips every chunk past the
+    first n_global + n_local tokens that no window row reaches, so a curve
+    costs the pinned prefix plus n_layers * (n_local - 1) tokens before
+    each window, not the sequence length.
     Smaller milestones reuse rows of the same pass (causality makes them
     identical to truncated passes). Sequences shorter than a milestone are
     skipped and counted.

@@ -30,6 +30,10 @@ slots in use and builds its RoPE rotation factor, once for all layers;
 then ``attend(layer, q, k, v, rows)`` for each layer, which stores the
 chunk with one write per array and scores the chunk rows ``rows`` (all of
 them by default) with ``attention._attend_block``; then ``advance()``.
+Once a lambda ring is full, ``skip(C)`` moves past C positions and stores
+nothing: their slots keep entries at least n_local older than any later
+row, which the mask gives weight 0, so a row that no skipped position can
+reach through the layers is exact. The cache holds only what it is fed.
 
 ``attend`` does not check its inputs: the model checks a chunk's logits
 once and, if they hold a NaN or an inf, replays the chunk with a scan after
@@ -37,7 +41,8 @@ each stage to name where it started. So a failed chunk can leave non-finite
 keys and values in its slots in every layer, and in the far keys of its
 pinned positions. The position does not move, and the next feed from that
 position overwrites them all; the entry the chunk's first write replaced,
-n_local positions older, is outside the window from then on.
+n_local positions older, is outside the window from then on. A masked
+NaN still gives 0 * NaN = NaN, so skip() refuses until that feed.
 
 Under RoPE a far pinned key scores <q, R(-l_pretrain) k> (see
 ``attention``). The cache stores that far key once, when its pinned token
@@ -143,6 +148,24 @@ class KvCache:
             rotation = rope_factor(rows, self.config.encoding)[:, None]
             rotation = rotation.repeat(self.config.n_heads, axis=1)
         self._geometry = (*_geometry(rows, self._pos[:end], self.config), rotation)
+
+    @property
+    def can_skip(self) -> bool:
+        """Whether skip() may run: the lambda ring is full and no chunk is
+        begun (one that raised may have left non-finite entries)."""
+        W, begun = self._n_local, self._chunk is not None
+        return W is not None and self.next_position >= self._n_global + W and not begun
+
+    def skip(self, n: int) -> None:
+        """Move past the next n positions, storing nothing (see above)."""
+        if not 1 <= n <= self.max_chunk:
+            raise ValueError(f"a chunk holds 1 to {self.max_chunk} positions, got {n}")
+        if self._chunk is not None:
+            raise CacheStateError("skip() after a chunk that raised: feed that chunk first")
+        if not self.can_skip:
+            raise CacheStateError("skip() needs a full lambda ring; in vanilla mode, or "
+                                  "before, later rows read the slots it would leave")
+        self.next_position += n
 
     def attend(self, layer: int, q, k, v, rows=None) -> np.ndarray:
         """Layer ``layer``'s part of the chunk begun by begin(): store the

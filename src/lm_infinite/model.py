@@ -641,15 +641,22 @@ class DecodeSession:
         holds the next-position logits after tokens[r].
 
         ``rows``, a strictly increasing array of indices into ``tokens``,
-        returns only those rows, (len(rows), vocab). The cache takes every
-        token either way; the last layer runs its queries, attention, MLP,
-        final norm and head only for those rows, and not at all for a chunk
-        without one. A NaN or +-inf that could reach a dropped row is named
-        as without ``rows`` (see ``_forward``).
+        returns only those rows, (len(rows), vocab). The last layer runs its
+        queries, attention, MLP, final norm and head only for those rows,
+        and not at all for a chunk without one. In lambda mode a row sees
+        the pinned prefix and the n_layers * (n_local - 1) tokens before it,
+        its reach. Once the ring is full, a chunk outside the reach of every
+        returned row and of the next position is skipped (``KvCache.skip``):
+        the rows and what later calls read stay bit for bit those of a
+        prefill that feeds it. A NaN or +-inf in a fed chunk that could
+        reach a dropped row is named as without ``rows`` (see
+        ``_forward``); a skipped chunk is never computed, so it cannot raise.
 
         The tokens go through in chunks of up to ``cache.max_chunk``; a chunk
         that raises leaves the position at its first token, with every
-        earlier chunk consumed, so the session stays usable.
+        earlier chunk consumed, so the session stays usable, and the next
+        call feeds its first chunk whatever its reach. Only if no chunk was
+        skipped before the raise do later calls read an exact cache.
         """
         ids = _check_ids(tokens, self.model.config.vocab_size)
         if ids.ndim != 1:
@@ -657,10 +664,17 @@ class DecodeSession:
         if rows is not None:
             rows = _check_rows(rows, ids.size)
         size = self.cache.max_chunk
+        cfg = self.model.config
+        reach = cfg.n_layers * (cfg.n_local - 1)
+        ends = None if rows is None else np.append(rows, ids.size)  # and the next position
         logits = []
         for s in range(0, ids.size, size):
             chunk, picked = ids[s : s + size], None
             if rows is not None:
+                first = ends[np.searchsorted(ends, s)]  # the first end at s or after
+                if first - reach >= s + chunk.size and self.cache.can_skip:
+                    self.cache.skip(chunk.size)
+                    continue
                 lo, hi = np.searchsorted(rows, (s, s + size))
                 picked = rows[lo:hi] - s
             self.cache.begin(chunk.size)

@@ -251,6 +251,20 @@ def test_nan_at_a_dropped_row_is_named_as_by_full_prefill():
         nll_curve(model, [seq], (200,))
 
 
+def test_nan_in_a_chunk_nothing_reaches_is_never_computed():
+    # Two layers of a 16-key window reach 30 tokens back. Over 600 tokens in
+    # chunks of 128, the windows 7..38 and 567..598 and the next position
+    # 599 reach chunks 0 and 4 only, so chunks 1-3 are skipped and the NaN
+    # embedding of token 30, which sits at position 200 alone, is never
+    # looked up: the points equal those of the clean model.
+    model = init(tiny_config())
+    seq = (np.arange(600) * 7 + 1) % 30
+    seq[200] = 30
+    points = nll_curve(model, [seq], (40, 600))
+    model.params["embedding"][30] = np.nan
+    assert nll_curve(model, [seq], (40, 600)) == points
+
+
 # ---------------------------------------------------------------------------
 # continuation_eval
 # ---------------------------------------------------------------------------

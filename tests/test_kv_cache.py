@@ -204,3 +204,34 @@ def test_shape_mismatch_rejected():
     store(cache, np.zeros(8), np.zeros(8))
     with pytest.raises(ValueError):
         store(cache, np.zeros(5), np.zeros(5))
+
+
+def test_skip_moves_past_positions_only_in_a_full_lambda_ring():
+    # G2 + W3: the ring is full from position 5. A skip stores nothing: the
+    # slots keep their positions and entries, and the next position moves.
+    params = MaskParams(n_global=2, n_local=3, l_pretrain=8)
+    cache = fill(params, 4)
+    with pytest.raises(CacheStateError, match="needs a full lambda ring"):
+        cache.skip(1)
+    store(cache, np.ones(8), np.ones(8))
+    assert cache.can_skip
+    keys, positions = cache.keys.copy(), cache.positions.copy()
+    cache.skip(2)
+    assert cache.next_position == 7 and len(cache) == 5
+    assert np.array_equal(cache.keys, keys) and np.array_equal(cache.positions, positions)
+    for n in (0, BLOCK + 1):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            cache.skip(n)
+    cache.begin()  # a chunk that raised is never ended
+    assert not cache.can_skip
+    with pytest.raises(CacheStateError, match="after a chunk that raised"):
+        cache.skip(1)
+    cache.attend(0, np.zeros(8), np.ones(8), np.ones(8))
+    cache.advance()
+    assert cache.can_skip and cache.next_position == 8
+    vanilla = make_cache(params, "vanilla_causal")
+    for t in range(20):
+        store(vanilla, np.ones(8), np.ones(8))
+    assert not vanilla.can_skip
+    with pytest.raises(CacheStateError, match="vanilla mode"):
+        vanilla.skip(1)

@@ -528,6 +528,167 @@ def test_prefill_rows_equal_full_prefill_rows(monkeypatch, encoding, mode):
         np.testing.assert_array_equal(sess.step(4), after)
 
 
+def _perturbed(cfg, seed=3):
+    """An init'ed model plus 0.05 N(0, 1) on every parameter, so that its
+    logits depend on every token they can see."""
+    model = init(cfg)
+    rng = np.random.default_rng(seed)
+    for name in sorted(model.params):
+        model.params[name] += 0.05 * rng.standard_normal(model.params[name].shape)
+    return model
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_reach_is_n_layers_times_window_minus_one(monkeypatch, encoding):
+    # Three layers of a 16-key window: row r sees the pinned prefix and the
+    # tokens r - 45 .. r, and nothing before them. Chunks of 8 make the
+    # rows= prefill skip chunks; the prefill without rows skips none.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    cfg = tiny_config(encoding=encoding, n_layers=3, n_local=16, l_pretrain=20)
+    model = _perturbed(cfg)
+    reach = cfg.n_layers * (cfg.n_local - 1)
+    ids = (np.arange(100) * 7 + 1) % 31
+    r = 80
+
+    def row_r(tokens):
+        return DecodeSession(model).prefill(tokens)[r], DecodeSession(model).prefill(
+            tokens, rows=[r])[0]
+
+    base = row_r(ids)
+    for back, changes in ((reach, True), (reach + 1, False)):
+        flipped = ids.copy()
+        flipped[r - back] = (flipped[r - back] + 5) % 31
+        assert r - back >= cfg.n_global
+        for got, want in zip(row_r(flipped), base):
+            assert np.array_equal(got, want) is not changes, back
+
+
+def _fed_chunks(n, rows, size, ring, reach):
+    """Indices of the chunks of ``size`` over n tokens that a fresh lambda
+    session's prefill(rows=) feeds: those that start before the ring is full
+    and those that hold a token that a row, or the next position, reaches."""
+    reached = set()
+    for r in list(rows) + [n]:
+        reached.update(range(max(0, r - reach), min(r + 1, n)))
+    return [c for c in range(-(-n // size))
+            if c * size < ring or reached & set(range(c * size, (c + 1) * size))]
+
+
+def _record_begins(monkeypatch):
+    """Patch KvCache.begin to record the position each chunk starts at."""
+    from lm_infinite.kv_cache import KvCache
+
+    begun, begin = [], KvCache.begin
+
+    def recording(self, n=1):
+        begun.append(self.next_position)
+        begin(self, n)
+
+    monkeypatch.setattr(KvCache, "begin", recording)
+    return begun
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_prefill_rows_feeds_only_chunks_in_reach(monkeypatch, encoding):
+    # Chunks of 8, G2 + W6, two layers: the ring is full after the first
+    # chunk and a row reaches 10 tokens back. Row 73 reaches 63, the last
+    # row of chunk 7; row 74 reaches 64, the first row of chunk 8; the next
+    # position (200) reaches 190. Vanilla feeds every chunk. The rows equal
+    # those of a session that never skips bit for bit, and those of a
+    # prefill without rows to 1e-12 (a last layer run on fewer rows can
+    # round differently); the next step equals the latter's bit for bit.
+    import lm_infinite.attention as attention
+    from lm_infinite.kv_cache import KvCache
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    cfg = tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7)
+    model = _perturbed(cfg)
+    begun = _record_begins(monkeypatch)
+    reach, n = cfg.n_layers * (cfg.n_local - 1), 200
+    assert reach == 10
+    ids = (np.arange(n) * 7 + 1) % 31
+    for mode in ("lambda", "vanilla_causal"):
+        full_sess = DecodeSession(model, mode)
+        full = full_sess.prefill(ids)
+        after = full_sess.step(4)
+        for rows in ([73], [74], [0, 73], [40, 41, 120], [199], [5, 150, 151, 152]):
+            begun.clear()
+            sess = DecodeSession(model, mode)
+            got = sess.prefill(ids, rows=rows)
+            fed = [p // 8 for p in begun]
+            with monkeypatch.context() as never:
+                never.setattr(KvCache, "can_skip", property(lambda self: False))
+                unskipped = DecodeSession(model, mode).prefill(ids, rows=rows)
+            np.testing.assert_array_equal(got, unskipped, err_msg=str(rows))
+            np.testing.assert_allclose(got, full[rows], atol=1e-12, rtol=0)
+            if mode == "lambda":
+                assert fed == _fed_chunks(n, rows, 8, 8, reach), rows
+            else:
+                assert fed == list(range(25)), rows
+            assert sess.position == n
+            np.testing.assert_array_equal(sess.step(4), after)
+    # Row 73's chunk is 9, and its reach starts in chunk 7, so chunk 7 is fed
+    # and chunk 6 is not; row 74's reach starts in chunk 8, so 7 is skipped.
+    assert {6, 7} & set(_fed_chunks(n, [73], 8, 8, reach)) == {7}
+    assert {6, 7} & set(_fed_chunks(n, [74], 8, 8, reach)) == set()
+
+
+def test_nll_curve_feeds_only_chunks_in_reach(monkeypatch):
+    # Sparse milestones over 600 tokens: the window rows 7..38, 167..198
+    # and 567..598 and the next position 599 reach back 10 tokens each. The
+    # points equal those of a session that can never skip, bit for bit.
+    import lm_infinite.attention as attention
+    from lm_infinite.kv_cache import KvCache
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(n_global=2, n_local=6, l_pretrain=7))
+    seq = (np.arange(600) * 11 + 3) % 31
+    begun = _record_begins(monkeypatch)
+    points = nll_curve(model, [seq], (40, 200, 600))
+    rows = np.unique(np.concatenate([np.arange(7, 39), np.arange(167, 199),
+                                     np.arange(567, 599)]))
+    fed = _fed_chunks(599, rows, 8, 8, 10)
+    assert [p // 8 for p in begun] == fed
+    assert len(fed) == 17  # of 75: chunks 0-4, 19-24 and 69-74
+    monkeypatch.setattr(KvCache, "can_skip", property(lambda self: False))
+    begun.clear()
+    assert nll_curve(model, [seq], (40, 200, 600)) == points
+    assert len(begun) == 75
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_prefill_rows_feeds_the_chunk_after_one_that_raised(monkeypatch, encoding):
+    # A NaN embedding fails the chunk at 16 after it stored its first row
+    # in the ring. The next prefill's first chunk is out of reach of its
+    # row 30 (position 46) and of the next position, but it is fed, to
+    # overwrite that slot; the chunk at 24 is skipped. Then the session
+    # equals a fresh one bit for bit.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7))
+    warm = (np.arange(16) * 5 + 2) % 30
+    tail = (np.arange(40) * 7 + 1) % 30
+    sess, fresh = DecodeSession(model), DecodeSession(model)
+    sess.prefill(warm)
+    fresh.prefill(warm)
+    clean = model.params["embedding"].copy()
+    model.params["embedding"][30] = np.nan
+    with pytest.raises(NanDetectedError):
+        sess.prefill(np.append(30, tail))
+    model.params["embedding"][:] = clean
+    assert sess.position == 16
+    begun = _record_begins(monkeypatch)
+    got = sess.prefill(tail, rows=[30])
+    assert begun == [16, 32, 40, 48]
+    np.testing.assert_allclose(got[0], fresh.prefill(tail)[30], atol=1e-12, rtol=0)
+    assert sess.position == 56
+    for t in (4, 9):
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+
+
 @pytest.mark.parametrize("rows, message", [
     ([], "rows must be a non-empty 1-d index array, got array([], dtype=float64)"),
     ([[1, 2]], "rows must be a non-empty 1-d index array, got array([[1, 2]])"),
