@@ -22,10 +22,15 @@ R(-l_pretrain) k_j>: the far key is formed once per pinned key and dotted
 with the raw query. Alibi subtracts slope * the clamped distance.
 
 ``_attend_block`` is the block body of the kernel and the cache: logits with
-the far-key swap, the mask, the softmax and the weighted values. ``attend``
-returns the values and a stash of each block's geometry and weights, which
-``attend_backward`` and the diagnostics readers (entropy(), row(i),
-last_logits) read. Leading batch axes broadcast. Everything runs in float64.
+the far-key swap, the mask, the softmax and the weighted values. It pays
+for a scored cell once per pass that must touch it: the queries come scaled
+by 1/sqrt(head_dim), so the scores need no scaling; -inf goes only into the
+trailing columns that ``_geometry``'s mask can reach (a vanilla block's own
+keys); and the row sums divide the weighted values, not the weights.
+``attend`` returns the values and a stash of each block's geometry and
+weights, normalised in place, which ``attend_backward`` and the diagnostics
+readers (entropy(), row(i), last_logits) read. Leading batch axes
+broadcast. Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -85,14 +90,6 @@ class AttentionConfig:
         return isinstance(self.encoding, RopeParams)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row softmax, in place; masked entries are -inf and get weight 0."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
-
-
 def _entropy_rows(w: np.ndarray) -> np.ndarray:
     logs = np.log(np.where(w > 0.0, w, 1.0))
     return -(w * logs).sum(axis=-1)
@@ -129,8 +126,10 @@ def _geometry(rows, keys, config):
     """(dist, masked, far) of query positions ``rows`` against key
     positions ``keys``, pinned keys (positions < G) first: the float64
     distances, clamped at l_pretrain in lambda mode; the entries outside the
-    Λ, or None for one row, which sees every key it is given; and under RoPE
-    the mask of the leading pinned columns past the limit, or None."""
+    Λ in the trailing columns from the first one that any row masks (a
+    vanilla chunk's own keys), or None for one row, which sees every key it
+    is given; and under RoPE the mask of the leading pinned columns past the
+    limit, or None."""
     G, W, clamp = _window(config)
     dist = np.subtract(rows[:, None], keys, dtype=np.float64)
     masked = far = None
@@ -138,6 +137,7 @@ def _geometry(rows, keys, config):
         masked = dist < 0
         if W is not None:
             masked |= (dist >= W) & (keys >= G)
+        masked = masked[:, masked.any(axis=0).argmax() :]
     if clamp is not None:
         if config.is_rope and G and rows[-1] > clamp:
             far = dist[:, : min(G, len(keys))] > clamp
@@ -151,40 +151,54 @@ def _far_factor(config: AttentionConfig) -> np.ndarray:
     return np.conj(rope_factor(config.mask_params.l_pretrain, config.encoding))
 
 
-def _logits(qn, kn, dist, config, far=None):
-    """Scaled logits (..., H, rows, keys) at ``_geometry``'s distances.
+def _scale(config: AttentionConfig) -> float:
+    """1/sqrt(head_dim), the factor on every query."""
+    return 1.0 / math.sqrt(config.head_dim)
+
+
+def _logits(qn, kn, bias, config, far=None):
+    """Logits (..., H, rows, keys) at ``_geometry``'s distances.
 
     ``qn``/``kn`` are head-major (..., H, n, head_dim), rotated to their own
-    positions under RoPE and raw under Alibi. ``far`` = (qf, kf, is_far)
-    holds the raw queries, the pinned rows' far keys and ``_geometry``'s
-    far mask, whose columns take <qf, kf>.
+    positions under RoPE and raw under Alibi; the queries are scaled by
+    ``_scale``. ``far`` = (qf, kf, is_far) holds the scaled raw queries, the
+    pinned rows' far keys and ``_geometry``'s far mask, whose columns take
+    <qf, kf>. Under Alibi ``bias`` is the (H, rows, keys) bias to subtract,
+    or the (rows, keys) distances, which each head's slope then scales.
     """
     z = qn @ kn.swapaxes(-1, -2)
-    if far is not None:  # scaled with the other columns below
+    if far is not None:
         qf, kf, is_far = far
         g = is_far.shape[-1]
         np.copyto(z[..., :g], qf @ kf[..., :g, :].swapaxes(-1, -2), where=is_far)
-    z *= 1.0 / math.sqrt(config.head_dim)
     if not config.is_rope:
-        # Per head, so that no (H, rows, keys) temporary sits next to z.
-        for h, slope in enumerate(config.encoding.slopes):
-            z[..., h, :, :] -= slope * dist
+        if bias.ndim == 3:
+            z -= bias
+        else:  # per head, so that no (H, rows, keys) temporary sits next to z
+            for h, slope in enumerate(config.encoding.slopes):
+                z[..., h, :, :] -= slope * bias
     return z
 
 
-def _attend_block(qn, kn, vn, dist, masked, config, far=None, out=None):
+def _attend_block(qn, kn, vn, bias, masked, config, far=None, out=None):
     """One block of attention, the body shared by the kernel and the cache.
 
-    Scores the query rows ``qn`` against the keys ``kn`` as ``_logits``
-    does, sets the ``masked`` entries (None: none) to -inf, takes the row
-    softmax and weighs the values ``vn``. Returns (values, weights); the
-    values are written to ``out`` if it is given.
+    Scores the scaled query rows ``qn`` against the keys ``kn`` as
+    ``_logits`` does, sets the ``masked`` entries of the trailing columns
+    (None: none) to -inf and weighs the values ``vn`` by exp(z - row max).
+    Returns (values, e, total): the values, divided by the row sums
+    ``total`` and written to ``out`` if it is given, and the unnormalised
+    weights ``e``, whose softmax is e / total.
     """
-    z = _logits(qn, kn, dist, config, far)
+    z = _logits(qn, kn, bias, config, far)
     if masked is not None:
-        np.copyto(z, -np.inf, where=masked)
-    w = _softmax(z)
-    return np.matmul(w, vn, out=out), w
+        np.copyto(z[..., -masked.shape[-1] :], -np.inf, where=masked)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    total = np.add.reduce(z, axis=-1, keepdims=True)
+    out = np.matmul(z, vn, out=out)
+    out /= total
+    return out, z, total
 
 
 # Query rows [s, e) against keys js, pinned [0, g) then band [lo, e): the
@@ -194,18 +208,22 @@ _Block = namedtuple("_Block", "s e g lo js w dist masked far")
 
 def _seen(b: _Block, r: int):
     """The key columns that row r of block b attends to."""
-    return slice(None) if b.masked is None else ~b.masked[r]
+    if b.masked is None:
+        return slice(None)
+    seen = np.ones(len(b.js), dtype=bool)
+    seen[len(b.js) - b.masked.shape[-1] :] = ~b.masked[r]
+    return seen
 
 
 @dataclass
 class _Stash:
     config: AttentionConfig
     blocks: list  # of _Block
-    qn: np.ndarray  # head-major queries, rotated to their positions under RoPE
+    qn: np.ndarray  # head-major queries, scaled, rotated to their positions under RoPE
     kn: np.ndarray  # head-major keys, rotated to their positions under RoPE
     vh: np.ndarray
     rope: np.ndarray | None = None  # rotation factor per position
-    qf: np.ndarray | None = None  # raw queries, scored against far keys
+    qf: np.ndarray | None = None  # scaled raw queries, scored against far keys
     kf: np.ndarray | None = None  # far keys of the pinned rows
 
     def entropy(self) -> np.ndarray:
@@ -236,7 +254,7 @@ def _forward(q, k, v, config):
     Returns head-major values and the stash."""
     seq_len = q.shape[-3]
     G, W, _ = _window(config)
-    qn = np.ascontiguousarray(np.swapaxes(q, -3, -2))
+    qn = np.ascontiguousarray(np.swapaxes(q, -3, -2)) * _scale(config)
     kn = np.ascontiguousarray(np.swapaxes(k, -3, -2))
     vh = np.ascontiguousarray(np.swapaxes(v, -3, -2))
     stash = _Stash(config, [], qn, kn, vh)
@@ -254,18 +272,19 @@ def _forward(q, k, v, config):
         if far is not None and stash.kf is None:  # the first block past the limit
             stash.qf = qn
             stash.kf = apply_rotation_f64(kn[..., :G, :], _far_factor(config))
-        _, w = _attend_block(
+        _, w, total = _attend_block(
             stash.qn[..., s:e, :], stash.kn[..., js, :], vh[..., js, :], dist, masked,
             config, None if far is None else (qn[..., s:e, :], stash.kf, far),
             out=out[..., s:e, :],
         )
+        w /= total
         stash.blocks.append(_Block(s, e, g, lo, js, w, dist, masked, far))
     return out, stash
 
 
 def _backward(stash: _Stash, d_out):
     config = stash.config
-    scale = 1.0 / math.sqrt(config.head_dim)
+    scale = _scale(config)
     qn, kn, vh = stash.qn, stash.kn, stash.vh
     d_out = np.ascontiguousarray(np.swapaxes(d_out, -3, -2))
     dqn = np.empty_like(qn)
@@ -287,9 +306,9 @@ def _backward(stash: _Stash, d_out):
             dzf = np.where(far, dz[..., :g], 0.0)
             dz[..., :g] = np.where(far, 0.0, dz[..., :g])
             dqf[..., s:e, :] = (dzf @ stash.kf[..., :g, :]) * scale
-            dkf[..., :g, :] += (np.swapaxes(dzf, -1, -2) @ stash.qf[..., s:e, :]) * scale
+            dkf[..., :g, :] += np.swapaxes(dzf, -1, -2) @ stash.qf[..., s:e, :]
         dqn[..., s:e, :] = (dz @ kn[..., js, :]) * scale
-        dkb = (np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]) * scale
+        dkb = np.swapaxes(dz, -1, -2) @ qn[..., s:e, :]
         dkn[..., :g, :] += dkb[..., :g, :]
         dkn[..., lo:e, :] += dkb[..., g:, :]
 

@@ -26,10 +26,11 @@ Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 ``positions`` are plain array views; the window part is in ring order. A
 chunk is ``begin(C)``, which places it in slots, takes its distances, mask
 and far-key mask from ``attention._geometry`` over the positions of the
-slots in use and builds its RoPE rotation factor, once for all layers;
-then ``attend(layer, q, k, v, rows)`` for each layer, which stores the
-chunk with one write per array and scores the chunk rows ``rows`` (all of
-them by default) with ``attention._attend_block``; then ``advance()``.
+slots in use and builds its RoPE rotation factor or its Alibi bias, once
+for all layers; then ``attend(layer, q, k, v, rows)`` for each layer,
+which stores the chunk with one write per array and scores the chunk rows
+``rows`` (all of them by default) with ``attention._attend_block``; then
+``advance()``.
 Once a lambda ring is full, ``skip(C)`` moves past C positions and stores
 nothing: their slots keep entries at least n_local older than any later
 row, which the mask gives weight 0, so a row that no skipped position can
@@ -61,6 +62,7 @@ from lm_infinite.attention import (
     _attend_block,
     _far_factor,
     _geometry,
+    _scale,
     _window,
 )
 from lm_infinite.encoding import apply_rotation_f64, rope_factor
@@ -94,6 +96,10 @@ class KvCache:
         self._v = np.empty_like(self._k)
         self._pos = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
+        self._scale = _scale(config)
+        self._slopes = None
+        if not config.is_rope:  # (H, 1, 1): one call builds a chunk's Alibi bias
+            self._slopes = np.array(config.encoding.slopes)[:, None, None]
         self._to_far = None
         if config.is_rope and G:
             self._to_far = _far_factor(config)
@@ -143,11 +149,14 @@ class KvCache:
             self._slots[0] = first
         rows = np.arange(p, p + n)
         self._pos[self._slots] = rows
-        rotation = None
-        if self.config.is_rope:  # one row per head, so no rotation broadcasts
+        dist, masked, far = _geometry(rows, self._pos[:end], self.config)
+        bias = rotation = None
+        if self._slopes is not None:  # (H, rows, keys), subtracted in one call
+            bias = self._slopes * dist
+        else:  # one row per head, so no rotation broadcasts
             rotation = rope_factor(rows, self.config.encoding)[:, None]
             rotation = rotation.repeat(self.config.n_heads, axis=1)
-        self._geometry = (*_geometry(rows, self._pos[:end], self.config), rotation)
+        self._geometry = (bias, masked, far, rotation)
 
     @property
     def can_skip(self) -> bool:
@@ -187,7 +196,7 @@ class KvCache:
         k, v = k.reshape((n,) + self._entry), v.reshape((n,) + self._entry)
         q = q.reshape((n if rows is None else len(rows),) + self._entry)
         position = self.next_position
-        dist, masked, is_far, rotation = self._geometry
+        bias, masked, is_far, rotation = self._geometry
         kn = k if rotation is None else apply_rotation_f64(k, rotation)
         keys, values = self._k[layer, :, :end], self._v[layer, :, :end]
         keys[:, self._slots] = kn.swapaxes(0, 1)
@@ -199,29 +208,35 @@ class KvCache:
         if rows is not None:
             if not len(rows):
                 return q.reshape(-1)
-            dist, masked, is_far, rotation = (
-                None if a is None else a[rows] for a in self._geometry
+            masked, is_far, rotation = (
+                None if a is None else a[rows] for a in (masked, is_far, rotation)
             )
+            bias = None if bias is None else bias[:, rows]
+        q = q * self._scale
         qn = q if rotation is None else apply_rotation_f64(q, rotation)
         far = None if is_far is None else (q.swapaxes(0, 1), self._kf[layer], is_far)
-        out, _ = _attend_block(
-            qn.swapaxes(0, 1), keys, values, dist, masked,
+        out, _, _ = _attend_block(
+            qn.swapaxes(0, 1), keys, values, bias, masked,
             self.config, far,
         )
         return out.swapaxes(0, 1).reshape(-1)
 
     def advance(self) -> None:
         """End the chunk: every layer has stored it at next_position on. In
-        lambda mode its entries past the ring move to their ring slots in one copy."""
+        lambda mode its entries past the ring move to their ring slots, a run
+        of consecutive positions that wraps the ring at most once, so in at
+        most two slice copies per array."""
         first, scratch, end = self._chunk
         G, W = self._n_global, self._n_local
         n = end - scratch + 1
         if W is not None and end > G + W:
-            src = np.arange(max(scratch, G + W, end - W), end)
-            dst = G + (self._pos[src] - G) % W
-            self._k[:, :, dst] = self._k[:, :, src]
-            self._v[:, :, dst] = self._v[:, :, src]
-            self._pos[dst] = self._pos[src]
+            src = max(scratch, G + W, end - W)
+            dst = G + (int(self._pos[src]) - G) % W
+            wrap = min(end, src + G + W - dst)  # the first source slot past the wrap
+            for lo, hi, to in ((src, wrap, dst), (wrap, end, G)):
+                self._k[:, :, to : to + hi - lo] = self._k[:, :, lo:hi]
+                self._v[:, :, to : to + hi - lo] = self._v[:, :, lo:hi]
+                self._pos[to : to + hi - lo] = self._pos[lo:hi]
             end = G + W
         self._len = max(self._len, end)
         self.next_position += n

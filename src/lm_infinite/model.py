@@ -21,6 +21,7 @@ flags are derived from them.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 import time
@@ -655,8 +656,12 @@ class DecodeSession:
         The tokens go through in chunks of up to ``cache.max_chunk``; a chunk
         that raises leaves the position at its first token, with every
         earlier chunk consumed, so the session stays usable, and the next
-        call feeds its first chunk whatever its reach. Only if no chunk was
-        skipped before the raise do later calls read an exact cache.
+        call feeds its first chunk whatever its reach. If the call skipped
+        chunks before the raise, the cache goes back to where it first
+        skipped and feeds the reach of the failing chunk before the error
+        is re-raised, so later calls read what a prefill that feeds every
+        chunk leaves; a NaN that this feed meets is raised instead, from
+        its own chunk.
         """
         ids = _check_ids(tokens, self.model.config.vocab_size)
         if ids.ndim != 1:
@@ -667,20 +672,27 @@ class DecodeSession:
         cfg = self.model.config
         reach = cfg.n_layers * (cfg.n_local - 1)
         ends = None if rows is None else np.append(rows, ids.size)  # and the next position
-        logits = []
+        logits, skipped = [], None  # (index, cache) where the call first skipped
         for s in range(0, ids.size, size):
             chunk, picked = ids[s : s + size], None
             if rows is not None:
                 first = ends[np.searchsorted(ends, s)]  # the first end at s or after
                 if first - reach >= s + chunk.size and self.cache.can_skip:
+                    if skipped is None:
+                        skipped = (s, copy.deepcopy(self.cache))
                     self.cache.skip(chunk.size)
                     continue
                 lo, hi = np.searchsorted(rows, (s, s + size))
                 picked = rows[lo:hi] - s
             self.cache.begin(chunk.size)
-            logits.append(_forward(
-                self.model, chunk, self.cache.attend, position=self.position, rows=picked
-            ))
+            try:
+                logits.append(_forward(self.model, chunk, self.cache.attend,
+                                       position=self.position, rows=picked))
+            except Exception:
+                if skipped is not None:  # feed what the next position reaches
+                    q, self.cache = skipped
+                    self.prefill(ids[q:s], rows=[s - q - 1])
+                raise
             self.cache.advance()
         return logits[0] if len(logits) == 1 else np.concatenate(logits)
 

@@ -16,9 +16,15 @@ keeps the timings to the work done.
 OpenBLAS reads these variables once, when numpy is first imported, which is
 why this runs before any test module imports numpy. A value already set in
 the environment is kept.
+
+The acceptance tests print one ``criterion NN: PASS/FAIL — ...`` line each.
+pytest shows a passing test's output only under ``-rP``, so
+``pytest_terminal_summary`` reprints every such line it captured at the end
+of each run.
 """
 
 import os
+import re
 import struct
 
 import pytest
@@ -75,3 +81,19 @@ def rewrite_config(blob: bytes, edits: dict, tensors: bool = True) -> bytes:
         block = block.replace(old, new)
     tail = blob[12 + n :] if tensors else b""
     return blob[:8] + struct.pack("<I", len(block)) + block + tail
+
+
+_VERDICT = re.compile(r"^criterion (\d+): (?:PASS|FAIL) — .*$", re.MULTILINE)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Reprint each captured criterion verdict line, by criterion number."""
+    verdicts = []
+    for key in ("passed", "failed"):
+        for report in terminalreporter.stats.get(key, ()):
+            for _, text in getattr(report, "sections", ()):
+                verdicts += [(int(m[1]), m[0]) for m in _VERDICT.finditer(text)]
+    if verdicts:
+        terminalreporter.section("criterion verdicts")
+        for _, line in sorted(verdicts):
+            terminalreporter.write_line(line)

@@ -506,3 +506,67 @@ def test_cache_chunk_holds_one_to_block_rows(small_blocks, n):
     cache = KvCache(make_config("lambda", "rope"), 1)
     with pytest.raises(ValueError, match="a chunk holds 1 to 4 positions"):
         cache.begin(n)
+
+
+# ---------------------------------------------------------------------------
+# The block body: scaled queries, the mask's trailing columns, divided values
+# ---------------------------------------------------------------------------
+
+CHUNKS = (1, 7, 128, 1, 7, 128)  # 272 positions
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+@pytest.mark.parametrize("kind", ["rope", "alibi"])
+def test_kernel_and_cache_chunks_match_dense_oracle(mode, kind):
+    # Lambda G2 + W5 with l_pretrain 8: from the second chunk on, a chunk's
+    # first row takes a ring slot and the others scratch slots, and rows past
+    # 8 score the far pinned keys. One cache returns every row of each
+    # chunk, a second the subset ``picked``; the kernel runs in its default
+    # blocks of 128 rows.
+    config = make_config(mode, kind)
+    rng = np.random.default_rng(hash((mode, kind, "chunks")) % 2**32)
+    n = sum(CHUNKS)
+    q, k, v = random_qkv(rng, n)
+    want, w = oracle_attend(q, k, v, config)
+    got, stash = attend(q, k, v, config)
+    np.testing.assert_allclose(got.reshape(want.shape), want, atol=1e-12, rtol=0)
+    for b in stash.blocks:
+        np.testing.assert_allclose(b.w.sum(axis=-1), 1.0, atol=1e-15, rtol=0)
+    for i in range(n):
+        keys, weights, _ = stash.row(i)
+        np.testing.assert_allclose(weights, w[:, i, keys], atol=1e-12, rtol=0)
+        assert keys.tolist() == np.flatnonzero(w[0, i] > 0).tolist()
+
+    caches, s = (KvCache(config, 1), KvCache(config, 1)), 0
+    for c in CHUNKS:
+        picked = np.arange(c)[(np.arange(c) * 5 + s) % 3 != 0]
+        for cache, rows in zip(caches, (None, picked)):
+            cache.begin(c)
+            sub = slice(None) if rows is None else rows
+            out = cache.attend(0, q[s:s + c][sub], k[s:s + c], v[s:s + c], rows)
+            cache.advance()
+            np.testing.assert_allclose(
+                out, want[s:s + c][sub].reshape(-1), atol=1e-12, rtol=0,
+                err_msg=str((c, s, rows)),
+            )
+        s += c
+
+
+@pytest.mark.parametrize("mode", ["lambda", "vanilla_causal"])
+def test_a_chunk_masks_only_the_columns_a_mask_can_reach(mode):
+    # A vanilla chunk of C rows at position p against keys [0, p + C) masks
+    # only its own keys after its first row: the last C - 1 columns. A
+    # lambda chunk masks from the first window column its last row cannot
+    # see; a pinned key is never masked.
+    from lm_infinite.attention import _geometry
+
+    config = make_config(mode, "rope", n_global=2, n_local=5, l_pretrain=8)
+    rows, keys = np.arange(20, 24), np.arange(24)
+    if mode == "lambda":
+        keys = np.concatenate([np.arange(2), np.arange(16, 24)])
+    dist, masked, _ = _geometry(rows, keys, config)
+    full = (dist < 0) | ((dist >= 5) & (keys >= 2) if mode == "lambda" else False)
+    first = np.flatnonzero(full.any(axis=0))[0]
+    assert first == (2 if mode == "lambda" else 21)
+    assert masked.tolist() == full[:, first:].tolist()
+    assert _geometry(rows[:1], keys, config)[1] is None

@@ -689,6 +689,58 @@ def test_prefill_rows_feeds_the_chunk_after_one_that_raised(monkeypatch, encodin
         np.testing.assert_array_equal(sess.step(t), fresh.step(t))
 
 
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_prefill_rows_that_raised_after_a_skip_leaves_an_exact_session(
+    monkeypatch, encoding
+):
+    # Chunks of 8, G2 + W6, two layers (reach 10): row 110 reaches 100, so
+    # chunks 8-88 are skipped and chunk 96 fails on a NaN embedding at 100.
+    # The next position, 96, reaches 86: the cache goes back to chunk 8 and
+    # feeds chunks 80 and 88, so the next steps equal a fresh session's.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7))
+    ids = (np.arange(120) * 7 + 1) % 30
+    ids[100] = 30
+    clean = model.params["embedding"].copy()
+    model.params["embedding"][30] = np.nan
+    sess = DecodeSession(model)
+    begun = _record_begins(monkeypatch)
+    with pytest.raises(NanDetectedError, match="row 100$"):
+        sess.prefill(ids, rows=[110])
+    fed = list(begun)
+    assert sess.position == 96
+    model.params["embedding"][:] = clean
+    fresh = DecodeSession(model)
+    fresh.prefill(ids[:96])
+    for t in ids[96:104]:
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+    assert fed == [0, 96, 80, 88]
+
+
+def test_a_nan_in_the_reach_fed_after_a_raise_is_raised_from_its_chunk(monkeypatch):
+    # As above, with a second NaN at 90: chunk 96 fails, and feeding its
+    # reach fails at chunk 88, which names position 90 and is where the
+    # session stays, as a prefill that feeds every chunk would leave it.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(n_global=2, n_local=6, l_pretrain=7))
+    ids = (np.arange(120) * 7 + 1) % 30
+    ids[[90, 100]] = 30
+    clean = model.params["embedding"].copy()
+    model.params["embedding"][30] = np.nan
+    sess = DecodeSession(model)
+    with pytest.raises(NanDetectedError, match="row 90$"):
+        sess.prefill(ids, rows=[110])
+    assert sess.position == 88
+    model.params["embedding"][:] = clean
+    fresh = DecodeSession(model)
+    fresh.prefill(ids[:88])
+    np.testing.assert_array_equal(sess.prefill(ids[88:100]), fresh.prefill(ids[88:100]))
+
+
 @pytest.mark.parametrize("rows, message", [
     ([], "rows must be a non-empty 1-d index array, got array([], dtype=float64)"),
     ([[1, 2]], "rows must be a non-empty 1-d index array, got array([[1, 2]])"),
