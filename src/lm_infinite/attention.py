@@ -104,11 +104,12 @@ def _bad_row(x, axes=-1):
     return np.argwhere(~np.atleast_1d(ok.all(axis=axes)))[0]
 
 
-def _check_nan(q, k, v, first_row=0):
-    """Raise naming the first non-finite row; rows count from ``first_row``."""
+def _check_nan(q, k, v, first_row=0, first_batch=0):
+    """Raise naming the first non-finite row; rows count from ``first_row``
+    and sequences of a batch from ``first_batch``."""
     for name, arr in (("q", q), ("k", k), ("v", v)):
         if (where := _bad_row(arr, (-1, -2))) is not None:
-            at = f"batch {where[0]}, row" if where.size > 1 else "row"
+            at = f"batch {first_batch + where[0]}, row" if where.size > 1 else "row"
             row = first_row + where[-1]
             raise NanDetectedError(f"NaN in attention input {name} at {at} {row}")
 
@@ -156,15 +157,15 @@ def _scale(config: AttentionConfig) -> float:
     return 1.0 / math.sqrt(config.head_dim)
 
 
-def _logits(qn, kn, bias, config, far=None):
-    """Logits (..., H, rows, keys) at ``_geometry``'s distances.
+def _logits(qn, kn, dist, config, far=None):
+    """Logits (..., H, rows, keys) at ``_geometry``'s distances ``dist``.
 
     ``qn``/``kn`` are head-major (..., H, n, head_dim), rotated to their own
     positions under RoPE and raw under Alibi; the queries are scaled by
     ``_scale``. ``far`` = (qf, kf, is_far) holds the scaled raw queries, the
     pinned rows' far keys and ``_geometry``'s far mask, whose columns take
-    <qf, kf>. Under Alibi ``bias`` is the (H, rows, keys) bias to subtract,
-    or the (rows, keys) distances, which each head's slope then scales.
+    <qf, kf>. Under Alibi each head's slope * dist is subtracted here, the
+    one place where slopes meet distances; RoPE reads no distances.
     """
     z = qn @ kn.swapaxes(-1, -2)
     if far is not None:
@@ -172,15 +173,15 @@ def _logits(qn, kn, bias, config, far=None):
         g = is_far.shape[-1]
         np.copyto(z[..., :g], qf @ kf[..., :g, :].swapaxes(-1, -2), where=is_far)
     if not config.is_rope:
-        if bias.ndim == 3:
-            z -= bias
+        if len(dist) == 1:  # one row (a decode step, a trace's last row): one call
+            z -= config.encoding.head_slopes() * dist
         else:  # per head, so that no (H, rows, keys) temporary sits next to z
             for h, slope in enumerate(config.encoding.slopes):
-                z[..., h, :, :] -= slope * bias
+                z[..., h, :, :] -= slope * dist
     return z
 
 
-def _attend_block(qn, kn, vn, bias, masked, config, far=None, out=None):
+def _attend_block(qn, kn, vn, dist, masked, config, far=None, out=None):
     """One block of attention, the body shared by the kernel and the cache.
 
     Scores the scaled query rows ``qn`` against the keys ``kn`` as
@@ -190,7 +191,7 @@ def _attend_block(qn, kn, vn, bias, masked, config, far=None, out=None):
     ``total`` and written to ``out`` if it is given, and the unnormalised
     weights ``e``, whose softmax is e / total.
     """
-    z = _logits(qn, kn, bias, config, far)
+    z = _logits(qn, kn, dist, config, far)
     if masked is not None:
         np.copyto(z[..., -masked.shape[-1] :], -np.inf, where=masked)
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)

@@ -61,6 +61,12 @@ class AlibiParams:
             if not (m > 0.0 and math.isfinite(m)):
                 raise ValueError(f"slopes must be positive and finite, got {m}")
         object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "_column", np.array(slopes)[:, None, None])
+        self._column.flags.writeable = False
+
+    def head_slopes(self) -> np.ndarray:
+        """The slopes as a read-only (n_heads, 1, 1) array, built once."""
+        return self._column
 
 
 def default_alibi_slopes(n_heads: int) -> tuple:

@@ -314,11 +314,11 @@ def bench(model, seq_lens, mode: str = "lambda", repeats: int = 5,
     """Median-of-repeats encode (full forward) and per-token decode timings,
     one BenchResult per length in ``seq_lens``.
 
-    Each length's encode repeats run back to back, the lengths in order.
-    Then one session per length is prefilled, untimed, and the lengths take
-    turns: each of ``repeats`` rounds times one window of ``decode_tokens``
-    steps per length, so a slow stretch of a shared machine falls on every
-    length, not on one.
+    The lengths take turns, so a slow stretch of a shared machine falls on
+    every length, not on one: each of ``repeats`` rounds times one encode
+    per length; then one session per length is prefilled, untimed, and each
+    of ``repeats`` rounds times one window of ``decode_tokens`` steps per
+    length.
     """
     seq_lens = tuple(seq_lens)
     if repeats < 3:
@@ -330,8 +330,8 @@ def bench(model, seq_lens, mode: str = "lambda", repeats: int = 5,
     streams = [np.arange(n + decode_tokens) % model.config.vocab_size for n in seq_lens]
 
     encode_times = [[] for _ in seq_lens]
-    for n, stream, times in zip(seq_lens, streams, encode_times):
-        for _ in range(repeats):
+    for _ in range(repeats):
+        for n, stream, times in zip(seq_lens, streams, encode_times):
             t0 = time.perf_counter()
             forward(model, stream[:n], mode=mode)
             times.append(time.perf_counter() - t0)

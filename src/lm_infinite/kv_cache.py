@@ -26,11 +26,10 @@ Kept slots are always [0, len(cache)), pinned entries first, so ``keys``,
 ``positions`` are plain array views; the window part is in ring order. A
 chunk is ``begin(C)``, which places it in slots, takes its distances, mask
 and far-key mask from ``attention._geometry`` over the positions of the
-slots in use and builds its RoPE rotation factor or its Alibi bias, once
-for all layers; then ``attend(layer, q, k, v, rows)`` for each layer,
-which stores the chunk with one write per array and scores the chunk rows
-``rows`` (all of them by default) with ``attention._attend_block``; then
-``advance()``.
+slots in use and builds its RoPE rotation factor, once for all layers;
+then ``attend(layer, q, k, v, rows)`` for each layer, which stores the
+chunk with one write per array and scores the chunk rows ``rows`` (all of
+them by default) with ``attention._attend_block``; then ``advance()``.
 Once a lambda ring is full, ``skip(C)`` moves past C positions and stores
 nothing: their slots keep entries at least n_local older than any later
 row, which the mask gives weight 0, so a row that no skipped position can
@@ -97,9 +96,6 @@ class KvCache:
         self._pos = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
         self._scale = _scale(config)
-        self._slopes = None
-        if not config.is_rope:  # (H, 1, 1): one call builds a chunk's Alibi bias
-            self._slopes = np.array(config.encoding.slopes)[:, None, None]
         self._to_far = None
         if config.is_rope and G:
             self._to_far = _far_factor(config)
@@ -150,13 +146,12 @@ class KvCache:
         rows = np.arange(p, p + n)
         self._pos[self._slots] = rows
         dist, masked, far = _geometry(rows, self._pos[:end], self.config)
-        bias = rotation = None
-        if self._slopes is not None:  # (H, rows, keys), subtracted in one call
-            bias = self._slopes * dist
-        else:  # one row per head, so no rotation broadcasts
+        rotation = None
+        if self.config.is_rope:  # one row per head, so no rotation broadcasts
             rotation = rope_factor(rows, self.config.encoding)[:, None]
             rotation = rotation.repeat(self.config.n_heads, axis=1)
-        self._geometry = (bias, masked, far, rotation)
+            dist = None  # the rotated keys and queries carry it
+        self._geometry = (dist, masked, far, rotation)
 
     @property
     def can_skip(self) -> bool:
@@ -196,7 +191,7 @@ class KvCache:
         k, v = k.reshape((n,) + self._entry), v.reshape((n,) + self._entry)
         q = q.reshape((n if rows is None else len(rows),) + self._entry)
         position = self.next_position
-        bias, masked, is_far, rotation = self._geometry
+        dist, masked, is_far, rotation = self._geometry
         kn = k if rotation is None else apply_rotation_f64(k, rotation)
         keys, values = self._k[layer, :, :end], self._v[layer, :, :end]
         keys[:, self._slots] = kn.swapaxes(0, 1)
@@ -208,16 +203,14 @@ class KvCache:
         if rows is not None:
             if not len(rows):
                 return q.reshape(-1)
-            masked, is_far, rotation = (
-                None if a is None else a[rows] for a in (masked, is_far, rotation)
+            dist, masked, is_far, rotation = (
+                None if a is None else a[rows] for a in (dist, masked, is_far, rotation)
             )
-            bias = None if bias is None else bias[:, rows]
         q = q * self._scale
         qn = q if rotation is None else apply_rotation_f64(q, rotation)
         far = None if is_far is None else (q.swapaxes(0, 1), self._kf[layer], is_far)
         out, _, _ = _attend_block(
-            qn.swapaxes(0, 1), keys, values, bias, masked,
-            self.config, far,
+            qn.swapaxes(0, 1), keys, values, dist, masked, self.config, far
         )
         return out.swapaxes(0, 1).reshape(-1)
 

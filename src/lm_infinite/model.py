@@ -278,7 +278,7 @@ class ModelTrace:
     last_distances: list  # the last row's key distances, (n,); clamped in lambda
 
 
-def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None):
+def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, batch=0):
     """Embedding -> layers -> final layer norm -> head: the only copy.
 
     ``ids`` is (seq_len,) or (batch, seq_len); a decode step is seq_len 1.
@@ -288,7 +288,8 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None):
     ``stash``, if a list, receives what the backward pass needs: one dict
     per layer, then (hf, lnf) of the final norm. ``hidden``, if a list,
     receives the residual stream after each block. ``position`` is the
-    absolute position of the first row, used in NaN messages.
+    absolute position of the first row and ``batch`` the caller's index of
+    the first sequence of a (batch, seq_len) ``ids``, used in NaN messages.
 
     ``rows``, a strictly increasing index array into the rows of a
     (seq_len,) ``ids``, selects the rows whose logits are returned (None:
@@ -312,11 +313,12 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None):
             return logits
     except NanDetectedError:
         pass
-    logits = _layers(model, ids, attn, position=position, scan=True)
+    logits = _layers(model, ids, attn, position=position, batch=batch, scan=True)
     return logits if rows is None else logits[rows]
 
 
-def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False, rows=None):
+def _layers(model, ids, attn, stash=None, hidden=None, position=0, batch=0, scan=False,
+            rows=None):
     """The pass of ``_forward``; with ``scan``, raise at the first
     non-finite stage."""
     cfg = model.config
@@ -337,7 +339,7 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, scan=False, r
         q = (h @ p[f"{pre}/attn/wq"]).reshape(h.shape[:-1] + heads)
         try:
             if scan:
-                _check_nan(q, k, v, position)
+                _check_nan(q, k, v, position, batch)
             a = attn(i, q, k, v, rows) if select else attn(i, q, k, v)
             a = a.reshape(x.shape)
         except NanDetectedError as exc:
@@ -413,19 +415,20 @@ def loss_and_grads(model: ToyModel, tokens, mode: str = "lambda"):
     att_config = model.config.attention_for(mode)
     n_pred = ids[..., 1:].size
     per_chunk = max(1, MICRO_BATCH_ROWS // (ids.shape[-1] - 1))
-    chunks = [ids] if ids.ndim == 1 else [
-        ids[s : s + per_chunk] for s in range(0, ids.shape[0], per_chunk)
+    chunks = [(0, ids)] if ids.ndim == 1 else [
+        (s, ids[s : s + per_chunk]) for s in range(0, ids.shape[0], per_chunk)
     ]
     grads = {}
     nll = 0.0
-    for chunk in chunks:
-        nll += _chunk_nll_and_grads(model, chunk, att_config, n_pred, grads)
+    for s, chunk in chunks:
+        nll += _chunk_nll_and_grads(model, chunk, att_config, n_pred, grads, s)
     return float(nll / n_pred), grads
 
 
-def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
-    """Summed NLL of one chunk; adds its share of the gradient of the mean
-    over ``n_pred`` predictions into ``grads``."""
+def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads, batch):
+    """Summed NLL of one chunk, whose first sequence is sequence ``batch``
+    of the caller's batch; adds its share of the gradient of the mean over
+    ``n_pred`` predictions into ``grads``."""
     cfg = model.config
     p = model.params
     inputs, targets = ids[..., :-1], ids[..., 1:]
@@ -443,7 +446,7 @@ def _chunk_nll_and_grads(model, ids, att_config, n_pred, grads):
         return a
 
     stash = []
-    logits = _forward(model, inputs, attn, stash=stash)
+    logits = _forward(model, inputs, attn, stash=stash, batch=batch)
     *layers, (hf, lnf) = stash
     z = logits - logits.max(axis=-1, keepdims=True)
     dlogits = np.exp(z)

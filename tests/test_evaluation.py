@@ -374,7 +374,7 @@ def test_bench_rejects_no_decode_tokens(decode_tokens):
 
 
 def test_bench_encodes_each_length_in_turn_then_alternates_decode_windows(monkeypatch):
-    # Encode: each length's repeats back to back, lengths in order. Decode:
+    # Encode: rounds of one encode per length, lengths in order. Decode:
     # one untimed prefill per length, then rounds of one window per length.
     import lm_infinite.evaluation as evaluation
 
@@ -392,7 +392,7 @@ def test_bench_encodes_each_length_in_turn_then_alternates_decode_windows(monkey
     monkeypatch.setattr(evaluation, "forward", forward)
     monkeypatch.setattr(DecodeSession, "step", step)
     bench(init(tiny_config()), (40, 24), repeats=3, decode_tokens=2)
-    assert calls[:6] == [("encode", 40)] * 3 + [("encode", 24)] * 3
+    assert calls[:6] == [("encode", 40), ("encode", 24)] * 3
     windows = [calls[i][1] for i in range(6, len(calls), 2)]
     assert calls[6:] == [("step", p + k) for p in windows for k in range(2)]
     assert windows == [40, 24, 42, 26, 44, 28]

@@ -235,3 +235,31 @@ def test_skip_moves_past_positions_only_in_a_full_lambda_ring():
     assert not vanilla.can_skip
     with pytest.raises(CacheStateError, match="vanilla mode"):
         vanilla.skip(1)
+
+
+def test_alibi_prefill_holds_no_bias_beyond_its_rope_twin():
+    # Alibi's slopes meet the distances only inside the scoring of a chunk,
+    # so a vanilla Alibi prefill may peak at most one (BLOCK, keys) float64
+    # array above a RoPE prefill with the same weights (which holds no
+    # distances at all), not an (n_heads, BLOCK, keys) bias per chunk.
+    import dataclasses
+    import tracemalloc
+
+    from lm_infinite.model import DecodeSession, ToyModel, ToyModelConfig, init
+
+    rope = init(ToyModelConfig())
+    alibi = ToyModel(dataclasses.replace(rope.config, encoding="alibi"), rope.params)
+    ids = np.arange(3 * BLOCK) % rope.config.vocab_size
+
+    def peak(model):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            DecodeSession(model, "vanilla_causal").prefill(ids)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one_array = BLOCK * len(ids) * 8
+    assert peak(alibi) - peak(rope) <= one_array

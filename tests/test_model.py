@@ -233,6 +233,21 @@ def test_micro_batches_equal_one_chunk(monkeypatch, mode, encoding):
         np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
 
+def test_batched_nan_names_the_callers_sequence():
+    # 16 x 17 ids run as micro-batches of 8 sequences; the NaN sits in the
+    # second one, at sequence 11 of the caller's array, input row 3.
+    model = init(tiny_config())
+    model.params["embedding"][30] = np.nan
+    ids = np.arange(16 * 17).reshape(16, 17) % 30
+    ids[11, 3] = 30
+    with pytest.raises(NanDetectedError) as exc:
+        loss_and_grads(model, ids)
+    assert str(exc.value) == "layer 0: NaN in attention input q at batch 11, row 3"
+    with pytest.raises(NanDetectedError) as exc:
+        loss_and_grads(model, ids[11])
+    assert str(exc.value) == "layer 0: NaN in attention input q at row 3"
+
+
 def test_gradients_batch_is_mean_of_sequences():
     model = init(tiny_config())
     a = (np.arange(9) * 3) % 31
