@@ -33,7 +33,14 @@ them by default) with ``attention._attend_block``; then ``advance()``.
 Once a lambda ring is full, ``skip(C)`` moves past C positions and stores
 nothing: their slots keep entries at least n_local older than any later
 row, which the mask gives weight 0, so a row that no skipped position can
-reach through the layers is exact. The cache holds only what it is fed.
+reach through the layers is exact. The cache holds only what it is fed,
+and that holds per layer: a chunk whose attend() calls stop after layer j
+stores nothing in the deeper layers, and advance() moves only the layers
+it stored into the ring, so the deeper ring slots keep their older, finite
+entries (scratch slots it did not write may hold anything, even a NaN left
+by a chunk that raised, and a masked weight of 0 times a NaN is NaN). Only
+a row that reads none of those slots, which is what
+``DecodeSession.prefill`` works out, is exact.
 
 ``attend`` does not check its inputs: the model checks a chunk's logits
 once and, if they hold a NaN or an inf, replays the chunk with a scan after
@@ -95,6 +102,7 @@ class KvCache:
         self._v = np.empty_like(self._k)
         self._pos = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._chunk = None  # (first slot, scratch start, end), set by begin()
+        self._stored = 0  # the layers attend() stored the chunk in: 0 .. _stored - 1
         self._scale = _scale(config)
         self._to_far = None
         if config.is_rope and G:
@@ -135,7 +143,7 @@ class KvCache:
         if self._to_far is not None and pinned > self._kf.shape[2]:
             size = min(G, max(2 * self._kf.shape[2], _MIN_CAPACITY, pinned))
             self._kf = _grown(self._kf, size, 2)
-        self._chunk = (first, scratch, end)
+        self._chunk, self._stored = (first, scratch, end), 0
         # The chunk's slots in row order: one run, unless its first row went
         # to a ring slot and the others to scratch.
         if n == 1 or scratch == first + 1:
@@ -196,6 +204,7 @@ class KvCache:
         keys, values = self._k[layer, :, :end], self._v[layer, :, :end]
         keys[:, self._slots] = kn.swapaxes(0, 1)
         values[:, self._slots] = v.swapaxes(0, 1)
+        self._stored = max(self._stored, layer + 1)
         pinned = min(self._n_global - position, len(k))  # chunk rows < n_global
         if self._to_far is not None and pinned > 0:
             kf = apply_rotation_f64(k[:pinned], self._to_far)
@@ -215,20 +224,21 @@ class KvCache:
         return out.swapaxes(0, 1).reshape(-1)
 
     def advance(self) -> None:
-        """End the chunk: every layer has stored it at next_position on. In
+        """End the chunk, stored at next_position on by layers 0 .. j. In
         lambda mode its entries past the ring move to their ring slots, a run
         of consecutive positions that wraps the ring at most once, so in at
-        most two slice copies per array."""
+        most two slice copies per array; layers past j keep their ring
+        slots' older entries (see above)."""
         first, scratch, end = self._chunk
-        G, W = self._n_global, self._n_local
+        G, W, stored = self._n_global, self._n_local, self._stored
         n = end - scratch + 1
         if W is not None and end > G + W:
             src = max(scratch, G + W, end - W)
             dst = G + (int(self._pos[src]) - G) % W
             wrap = min(end, src + G + W - dst)  # the first source slot past the wrap
             for lo, hi, to in ((src, wrap, dst), (wrap, end, G)):
-                self._k[:, :, to : to + hi - lo] = self._k[:, :, lo:hi]
-                self._v[:, :, to : to + hi - lo] = self._v[:, :, lo:hi]
+                self._k[:stored, :, to : to + hi - lo] = self._k[:stored, :, lo:hi]
+                self._v[:stored, :, to : to + hi - lo] = self._v[:stored, :, lo:hi]
                 self._pos[to : to + hi - lo] = self._pos[lo:hi]
             end = G + W
         self._len = max(self._len, end)

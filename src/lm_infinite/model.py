@@ -261,11 +261,13 @@ def _check_rows(rows, n):
     return rows
 
 
-def _check_finite(x, message, position):
+def _check_finite(x, message, position, batch=0):
     """Raise ``message`` and the position of the first non-finite row of
-    ``x``, whose rows start at ``position``."""
+    ``x``, whose rows start at ``position``; for a (batch, seq_len, ...)
+    ``x`` also its sequence, counted from ``batch``."""
     if (row := _bad_row(x)) is not None:
-        raise NanDetectedError(f"{message} {position + row[-1]}")
+        at = f"batch {batch + row[0]}, position" if row.size > 1 else "position"
+        raise NanDetectedError(f"{message} {at} {position + row[-1]}")
 
 
 @dataclass
@@ -278,7 +280,8 @@ class ModelTrace:
     last_distances: list  # the last row's key distances, (n,); clamped in lambda
 
 
-def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, batch=0):
+def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, batch=0,
+             layers=None):
     """Embedding -> layers -> final layer norm -> head: the only copy.
 
     ``ids`` is (seq_len,) or (batch, seq_len); a decode step is seq_len 1.
@@ -296,7 +299,11 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, b
     all). Only the last layer sees it: it computes keys and values for
     every row and calls ``attn(i, q, k, v, rows)`` with the queries of the
     selected rows, whose residual stream alone goes on through that
-    layer's MLP, the final norm and the head.
+    layer's MLP, the final norm and the head. ``layers`` (None: all) is
+    how many layers run, the last of them being the one that sees
+    ``rows``. Below n_layers ``rows`` must be empty: that layer only
+    passes its keys and values to ``attn``, and the pass returns an empty
+    (0, vocab) array.
 
     The pass scans its logits once for a NaN or +-inf; with ``rows`` it
     also scans the last layer's keys and values, which hold every row. If
@@ -308,7 +315,7 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, b
     calls ``attn`` again for every layer it reaches.
     """
     try:
-        logits = _layers(model, ids, attn, stash, hidden, rows=rows)
+        logits = _layers(model, ids, attn, stash, hidden, rows=rows, layers=layers)
         if np.isfinite(logits).all():
             return logits
     except NanDetectedError:
@@ -318,19 +325,20 @@ def _forward(model, ids, attn, stash=None, hidden=None, position=0, rows=None, b
 
 
 def _layers(model, ids, attn, stash=None, hidden=None, position=0, batch=0, scan=False,
-            rows=None):
+            rows=None, layers=None):
     """The pass of ``_forward``; with ``scan``, raise at the first
     non-finite stage."""
     cfg = model.config
     p = model.params
     x = p["embedding"][ids]  # (..., d_model)
     heads = (cfg.n_heads, cfg.head_dim)
-    for i in range(cfg.n_layers):
+    last = cfg.n_layers - 1 if layers is None else layers - 1
+    for i in range(last + 1):
         pre = f"layer{i}"
         h, ln1 = _layer_norm(x, p[f"{pre}/ln1/gamma"], p[f"{pre}/ln1/beta"])
         k = (h @ p[f"{pre}/attn/wk"]).reshape(h.shape[:-1] + heads)
         v = (h @ p[f"{pre}/attn/wv"]).reshape(h.shape[:-1] + heads)
-        select = rows is not None and i == cfg.n_layers - 1
+        select = rows is not None and i == last
         if select:
             # A non-finite key or value of a dropped row would go unseen.
             if not (np.isfinite(k).all() and np.isfinite(v).all()):
@@ -346,14 +354,14 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, batch=0, scan
             raise NanDetectedError(f"layer {i}: {exc}") from None
         x = x + a @ p[f"{pre}/attn/wo"]
         if scan:
-            _check_finite(x, f"NaN after attention in layer {i}, position", position)
+            _check_finite(x, f"NaN after attention in layer {i},", position, batch)
         h2, ln2 = _layer_norm(x, p[f"{pre}/ln2/gamma"], p[f"{pre}/ln2/beta"])
         # The biases as (1, d) rows, as in _layer_norm.
         u = h2 @ p[f"{pre}/mlp/w1"] + p[f"{pre}/mlp/b1"][None]
         g, cdf = _gelu(u)
         x = x + (g @ p[f"{pre}/mlp/w2"] + p[f"{pre}/mlp/b2"][None])
         if scan:
-            _check_finite(x, f"NaN after MLP in layer {i}, position", position)
+            _check_finite(x, f"NaN after MLP in layer {i},", position, batch)
         if stash is not None:
             stash.append(dict(h=h, ln1=ln1, a=a, ln2=ln2, h2=h2, u=u, g=g, cdf=cdf))
         if hidden is not None:
@@ -364,7 +372,7 @@ def _layers(model, ids, attn, stash=None, hidden=None, position=0, batch=0, scan
         stash.append((hf, lnf))
     logits = hf @ p["head"]
     if scan:
-        _check_finite(logits, "NaN in logits at position", position)
+        _check_finite(logits, "NaN in logits at", position, batch)
     return logits
 
 
@@ -649,22 +657,29 @@ class DecodeSession:
         queries, attention, MLP, final norm and head only for those rows,
         and not at all for a chunk without one. In lambda mode a row sees
         the pinned prefix and the n_layers * (n_local - 1) tokens before it,
-        its reach. Once the ring is full, a chunk outside the reach of every
-        returned row and of the next position is skipped (``KvCache.skip``):
-        the rows and what later calls read stay bit for bit those of a
-        prefill that feeds it. A NaN or +-inf in a fed chunk that could
-        reach a dropped row is named as without ``rows`` (see
-        ``_forward``); a skipped chunk is never computed, so it cannot raise.
+        its reach: layer j's keys and values at p are read by a row or the
+        next position r only if r - p <= (n_layers - j)(n_local - 1), and
+        layer j's output only if r - p <= (n_layers - 1 - j)(n_local - 1).
+        Once the ring is full, a chunk outside the reach of every returned
+        row and of the next position is skipped (``KvCache.skip``), and a
+        chunk inside it runs only the layers that one of them reads, the
+        last of them for its keys and values only: a chunk d positions
+        before the nearest such r costs n_layers + 1 - ceil(d / (n_local -
+        1)) layer passes, not n_layers. The rows and what later calls read
+        stay bit for bit those of a prefill that feeds every chunk through
+        every layer. A NaN or +-inf in a fed chunk that could reach a
+        dropped row is named as without ``rows`` (see ``_forward``); a
+        skipped chunk or layer is never computed, so it cannot raise.
 
         The tokens go through in chunks of up to ``cache.max_chunk``; a chunk
         that raises leaves the position at its first token, with every
         earlier chunk consumed, so the session stays usable, and the next
-        call feeds its first chunk whatever its reach. If the call skipped
-        chunks before the raise, the cache goes back to where it first
-        skipped and feeds the reach of the failing chunk before the error
-        is re-raised, so later calls read what a prefill that feeds every
-        chunk leaves; a NaN that this feed meets is raised instead, from
-        its own chunk.
+        call feeds its first chunk through every layer whatever its reach.
+        If the call skipped a chunk or cut one short before the raise, the
+        cache goes back to where it first did and feeds the reach of the
+        failing chunk before the error is re-raised, so later calls read
+        what a prefill that feeds every chunk leaves; a NaN that this feed
+        meets is raised instead, from its own chunk.
         """
         ids = _check_ids(tokens, self.model.config.vocab_size)
         if ids.ndim != 1:
@@ -672,28 +687,32 @@ class DecodeSession:
         if rows is not None:
             rows = _check_rows(rows, ids.size)
         size = self.cache.max_chunk
-        cfg = self.model.config
-        reach = cfg.n_layers * (cfg.n_local - 1)
+        L, W = self.model.config.n_layers, self.model.config.n_local
         ends = None if rows is None else np.append(rows, ids.size)  # and the next position
-        logits, skipped = [], None  # (index, cache) where the call first skipped
+        logits, cut = [], None  # (index, cache) where the call first skipped or cut short
         for s in range(0, ids.size, size):
-            chunk, picked = ids[s : s + size], None
+            chunk, picked, layers = ids[s : s + size], None, L
             if rows is not None:
-                first = ends[np.searchsorted(ends, s)]  # the first end at s or after
-                if first - reach >= s + chunk.size and self.cache.can_skip:
-                    if skipped is None:
-                        skipped = (s, copy.deepcopy(self.cache))
-                    self.cache.skip(chunk.size)
-                    continue
+                # d: from the chunk's last row to the first end at s or after.
+                # Layer j runs in full if d <= (L - 1 - j)(W - 1), for its
+                # keys and values only if d <= (L - j)(W - 1).
+                d = ends[np.searchsorted(ends, s)] - (s + chunk.size - 1)
+                if d > 0 and self.cache.can_skip:
+                    layers = L + 1 - -(-d // (W - 1)) if d <= L * (W - 1) else 0
+                    if layers < L and cut is None:
+                        cut = (s, copy.deepcopy(self.cache))
+                    if not layers:
+                        self.cache.skip(chunk.size)
+                        continue
                 lo, hi = np.searchsorted(rows, (s, s + size))
                 picked = rows[lo:hi] - s
             self.cache.begin(chunk.size)
             try:
                 logits.append(_forward(self.model, chunk, self.cache.attend,
-                                       position=self.position, rows=picked))
+                                       position=self.position, rows=picked, layers=layers))
             except Exception:
-                if skipped is not None:  # feed what the next position reaches
-                    q, self.cache = skipped
+                if cut is not None and cut[0] < s:  # feed what the next position reaches
+                    q, self.cache = cut
                     self.prefill(ids[q:s], rows=[s - q - 1])
                 raise
             self.cache.advance()

@@ -248,6 +248,26 @@ def test_batched_nan_names_the_callers_sequence():
     assert str(exc.value) == "layer 0: NaN in attention input q at row 3"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poison overflows
+def test_batched_nan_after_the_mlp_names_the_callers_sequence():
+    # Token 30 points along dimension 0 only, so after layer 0's second
+    # norm its row is about 3.9 there and every other row stays below 3.5:
+    # a first MLP weight of 1.797e308 / 3.5 overflows that row alone, after
+    # an attention that stayed finite. Sequence 11 holds it at row 3.
+    model = init(tiny_config())
+    model.params["embedding"][30] = 0.0
+    model.params["embedding"][30, 0] = 1e3
+    model.params["layer0/mlp/w1"][0] = 1.797e308 / 3.5
+    ids = np.arange(16 * 17).reshape(16, 17) % 30
+    ids[11, 3] = 30
+    with pytest.raises(NanDetectedError) as exc:
+        loss_and_grads(model, ids)
+    assert str(exc.value) == "NaN after MLP in layer 0, batch 11, position 3"
+    with pytest.raises(NanDetectedError) as exc:
+        loss_and_grads(model, ids[11])
+    assert str(exc.value) == "NaN after MLP in layer 0, position 3"
+
+
 def test_gradients_batch_is_mean_of_sequences():
     model = init(tiny_config())
     a = (np.arange(9) * 3) % 31
@@ -756,6 +776,219 @@ def test_a_nan_in_the_reach_fed_after_a_raise_is_raised_from_its_chunk(monkeypat
     np.testing.assert_array_equal(sess.prefill(ids[88:100]), fresh.prefill(ids[88:100]))
 
 
+def _layer_passes(n, rows, size, ring, n_layers, n_local):
+    """{chunk start: layers run} of a fresh lambda session's prefill(rows=)
+    over n tokens in chunks of ``size``, skipped chunks left out: every
+    layer for a chunk that starts before the ring is full; otherwise up to
+    the deepest layer j whose keys and values at some position p of the
+    chunk a row, or the next position, r >= p reads, r - p <= (n_layers -
+    j)(n_local - 1)."""
+    ends = list(rows) + [n]
+    fed = {}
+    for s in range(0, n, size):
+        near = min((e - p for e in ends for p in range(s, min(s + size, n)) if e >= p))
+        layers = [j + 1 for j in range(n_layers)
+                  if near <= (n_layers - j) * (n_local - 1)]
+        if s < ring or layers:
+            fed[s] = n_layers if s < ring else max(layers)
+    return fed
+
+
+def _record_layers(monkeypatch):
+    """Patch KvCache.attend to record {chunk start: layers it ran}."""
+    from lm_infinite.kv_cache import KvCache
+
+    ran, attend = {}, KvCache.attend
+
+    def recording(self, layer, q, k, v, rows=None):
+        ran[self.next_position] = max(ran.get(self.next_position, 0), layer + 1)
+        return attend(self, layer, q, k, v, rows)
+
+    monkeypatch.setattr(KvCache, "attend", recording)
+    return ran
+
+
+def _never_skipping(monkeypatch):
+    from lm_infinite.kv_cache import KvCache
+
+    monkeypatch.setattr(KvCache, "can_skip", property(lambda self: False))
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_prefill_rows_runs_each_chunk_through_the_layers_in_reach(
+    monkeypatch, encoding, n_layers
+):
+    # The row sets of the prefill_rows tests, over 45 and 200 tokens in
+    # chunks of 8, G2 + W6. A chunk d > 0 positions before the nearest row
+    # or next position runs n_layers + 1 - ceil(d / 5) layers, the last for
+    # its keys and values only. The rows and the next 20 steps equal those
+    # of a session that never skips, which runs every chunk through every
+    # layer, bit for bit.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    cfg = tiny_config(encoding=encoding, n_layers=n_layers, n_global=2, n_local=6,
+                      l_pretrain=7)
+    model = _perturbed(cfg)
+    ran = _record_layers(monkeypatch)
+    grid = {45: ([0], [44], [7, 8], [3, 20, 21, 22, 40], list(range(45)),
+                 np.arange(9, 45, 5, dtype=np.int32)),
+            200: ([73], [74], [0, 73], [40, 41, 120], [199], [5, 150, 151, 152])}
+    tail = (np.arange(20) * 3 + 2) % 31
+    cut = 0
+    for n, row_sets in grid.items():
+        ids = (np.arange(n) * 7 + 1) % 31
+        for rows in row_sets:
+            ran.clear()
+            sess = DecodeSession(model)
+            got = sess.prefill(ids, rows=rows)
+            assert ran == _layer_passes(n, rows, 8, 8, n_layers, 6), (n, rows)
+            cut += sum(0 < layers < n_layers for layers in ran.values())
+            with monkeypatch.context() as never:
+                _never_skipping(never)
+                ran.clear()
+                unskipped = DecodeSession(model)
+                np.testing.assert_array_equal(got, unskipped.prefill(ids, rows=rows))
+                assert ran == {s: n_layers for s in range(0, n, 8)}
+                for t in tail:
+                    np.testing.assert_array_equal(sess.step(t), unskipped.step(t))
+    assert cut >= 8  # the grid does cut chunks short
+
+
+def test_nll_curve_layer_passes_at_the_benchmark_size(monkeypatch):
+    # The default model over 2048 tokens, milestones 128 .. 2048 in chunks
+    # of 128: 43 chunk-layers are run, against 52 with whole chunks (a chunk
+    # outside every window's reach is skipped, the others run 4 layers) and
+    # 64 with no skip. The points are those of a session that never skips.
+    model = init(ToyModelConfig())
+    seq = (np.arange(2048) * 7 + 1) % 256
+    ran = _record_layers(monkeypatch)
+    milestones = (128, 256, 512, 1024, 2048)
+    points = nll_curve(model, [seq], milestones)
+    assert sum(ran.values()) == 43
+    assert len(ran) * 4 == 52
+    ran.clear()
+    _never_skipping(monkeypatch)
+    assert nll_curve(model, [seq], milestones) == points
+    assert sum(ran.values()) == 64
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_layer_j_keys_and_values_reach_n_layers_minus_j_windows(monkeypatch, encoding):
+    # Three layers of a 6-key window: layer j's stored key and value at p
+    # reach row r = 70 if r - p <= (3 - j) * 5 and not one position further
+    # back, on a session that never skips. A session that cuts chunks short
+    # returns the same row bit for bit under each perturbation: it runs
+    # layer j at p exactly when r reads it.
+    import lm_infinite.attention as attention
+    from lm_infinite.kv_cache import KvCache
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    cfg = tiny_config(encoding=encoding, n_layers=3, n_global=2, n_local=6, l_pretrain=7)
+    model = _perturbed(cfg)
+    ids = (np.arange(100) * 7 + 1) % 31
+    r, poke, attend = 70, {}, KvCache.attend
+
+    def perturbed(self, layer, q, k, v, rows=None):
+        i = poke.get(layer, -1) - self.next_position
+        if 0 <= i < len(k):
+            k, v = k.copy(), v.copy()
+            k[i] += 0.5
+            v[i] -= 0.5
+        return attend(self, layer, q, k, v, rows)
+
+    monkeypatch.setattr(KvCache, "attend", perturbed)
+
+    def row_r():
+        with monkeypatch.context() as never:
+            _never_skipping(never)
+            unskipped = DecodeSession(model).prefill(ids, rows=[r])[0]
+        np.testing.assert_array_equal(DecodeSession(model).prefill(ids, rows=[r])[0],
+                                      unskipped)
+        return unskipped
+
+    base = row_r()
+    for j in range(3):
+        for back, changes in (((3 - j) * 5, True), ((3 - j) * 5 + 1, False)):
+            poke.clear()
+            poke[j] = r - back
+            assert np.array_equal(row_r(), base) is not changes, (j, back)
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_prefill_rows_that_raised_after_a_chunk_cut_short_leaves_an_exact_session(
+    monkeypatch, encoding
+):
+    # Chunks of 8, G2 + W6, two layers: row 25 is 10 positions after chunk
+    # 8's last row, so chunk 8 runs layer 0 for its keys and values only,
+    # and nothing is skipped. Chunk 16 fails on a NaN embedding at 20, whose
+    # next position, 16, reads layer 1 at 11 .. 15: the cache goes back to
+    # chunk 8 and feeds it through both layers, so the next steps equal a
+    # fresh session's.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7))
+    ids = (np.arange(40) * 7 + 1) % 30
+    ids[20] = 30
+    clean = model.params["embedding"].copy()
+    model.params["embedding"][30] = np.nan
+    sess = DecodeSession(model)
+    ran, begun = _record_layers(monkeypatch), _record_begins(monkeypatch)
+    with pytest.raises(NanDetectedError, match="row 20$"):
+        sess.prefill(ids, rows=[25])
+    assert begun == [0, 8, 16, 8]
+    assert ran[8] == 2 and sess.position == 16
+    model.params["embedding"][:] = clean
+    fresh = DecodeSession(model)
+    fresh.prefill(ids[:16])
+    for t in ids[16:24]:
+        np.testing.assert_array_equal(sess.step(t), fresh.step(t))
+
+
+@pytest.mark.parametrize("encoding", ["rope", "alibi"])
+def test_prefill_rows_after_a_raise_and_a_step_moves_no_nan_into_the_ring(
+    monkeypatch, encoding
+):
+    # Chunks of 8, G2 + W6, two layers. A prefill of 16 tokens raises on the
+    # NaN embedding at 9, after its chunk stored keys and values in both
+    # layers: layer 1's scratch slots hold NaN. A step at 8 writes only ring
+    # slot 2, so the next prefill(rows=) may cut chunks short: rows 15 and
+    # 39 of its 40 tokens (positions 24 and 48) run the chunks at 9 and 33
+    # through layer 0 only and skip the one at 25. advance() must not move
+    # layer 1's unwritten scratch slots into the ring, where a masked weight
+    # of 0 would turn their NaN into a NaN in row 24: the rows and the next
+    # 20 steps equal a never-skipping session's bit for bit.
+    import lm_infinite.attention as attention
+
+    monkeypatch.setattr(attention, "BLOCK", 8)
+    model = _perturbed(tiny_config(encoding=encoding, n_global=2, n_local=6, l_pretrain=7))
+    model.params["embedding"][30] = np.nan
+    ids = (np.arange(69) * 7 + 1) % 30
+    poisoned = ids[:16].copy()
+    poisoned[9] = 30
+    ran = _record_layers(monkeypatch)
+
+    def run():
+        sess = DecodeSession(model)
+        with pytest.raises(NanDetectedError):
+            sess.prefill(poisoned)
+        sess.step(ids[8])
+        ran.clear()
+        rows = sess.prefill(ids[9:49], rows=[15, 39])
+        return rows, [sess.step(t) for t in ids[49:]]
+
+    got, steps = run()
+    assert {s: ran[s] for s in (9, 17, 33, 41)} == {9: 1, 17: 2, 33: 1, 41: 2}
+    assert 25 not in ran
+    with monkeypatch.context() as never:
+        _never_skipping(never)
+        want, want_steps = run()
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(steps, want_steps)
+
+
 @pytest.mark.parametrize("rows, message", [
     ([], "rows must be a non-empty 1-d index array, got array([], dtype=float64)"),
     ([[1, 2]], "rows must be a non-empty 1-d index array, got array([[1, 2]])"),
@@ -1055,9 +1288,10 @@ def test_nan_only_in_logits_raises_everywhere(tiny_corpus):
         with pytest.raises(NanDetectedError) as exc:
             call()
         assert str(exc.value) == message
+    # A batch also names the sequence, counted from the first of the batch.
     with pytest.raises(TrainingDivergedError) as exc:
         train(model, tiny_corpus, steps=2, batch_shape=(2, 16))
-    assert str(exc.value) == f"diverged at step 0: {message}"
+    assert str(exc.value) == "diverged at step 0: NaN after MLP in layer 1, batch 0, position 0"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the poison overflows
@@ -1096,12 +1330,14 @@ def test_nan_after_attention_is_named_before_next_layer_input(mode):
     for call in (
         lambda: forward(model, ids, mode=mode),
         lambda: forward_traced(model, ids, mode=mode),
-        lambda: loss_and_grads(model, np.stack([ids, ids]), mode=mode),
         lambda: DecodeSession(model, mode).prefill(ids),
     ):
         with pytest.raises(NanDetectedError) as exc:
             call()
         assert str(exc.value) == message
+    with pytest.raises(NanDetectedError) as exc:
+        loss_and_grads(model, np.stack([ids, ids]), mode=mode)
+    assert str(exc.value) == "NaN after attention in layer 0, batch 0, position 0"
 
 
 @pytest.mark.parametrize("n_layers", [1, 4])
